@@ -1,15 +1,16 @@
 // Command pcfleet is the cache-affinity sharded gateway: it fronts a
-// fleet of pcserved backends behind the same HTTP job API (pcq works
-// unchanged), routing each sweep cell to its content-key owner on a
-// consistent-hash ring so every backend's result cache stays hot for a
-// disjoint shard of the key space. Failed backends are ejected and
-// their cells fail over; stragglers past a latency quantile get one
-// hedged duplicate. With -tenants, submitters authenticate by API key
-// and dispatch switches from FIFO to weighted deficit round-robin:
-// interactive-class cells preempt batch backlogs, per-tenant quotas
-// return 429 + Retry-After, idle backends steal queued cells from
-// saturated ones, and warm peer caches are probed before computing.
-// See docs/ARCHITECTURE.md (fleet layer).
+// fleet of pcserved backends behind the same HTTP job API and job
+// registry (pcq works unchanged), routing each sweep cell to its
+// content-key owner on a consistent-hash ring so every backend's result
+// cache stays hot for a disjoint shard of the key space. Failed backends
+// are ejected and their cells fail over; stragglers past a latency
+// quantile get one hedged duplicate. Dispatch is weighted deficit
+// round-robin per tenant under strict interactive-before-batch
+// priority; idle backends steal queued cells from saturated ones, and
+// warm peer caches are probed before computing. With -tenants,
+// submitters authenticate by API key, and per-tenant quotas return
+// 429 + Retry-After; without it every submitter is one unlimited
+// default tenant. See docs/ARCHITECTURE.md (fleet layer).
 //
 // Usage:
 //
@@ -44,7 +45,6 @@ func main() {
 	ejectAfter := flag.Int("eject-after", 2, "consecutive probe failures before a backend is ejected")
 	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load factor c: spill past an owner above ceil(c*(inflight+1)/healthy)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON array of specs); empty: open access, no auth")
-	scheduling := flag.String("scheduling", "drr", "dispatch scheduling: drr (weighted fair) or fifo")
 	backendConcurrency := flag.Int("backend-concurrency", 0, "dispatch workers per backend (0: 8)")
 	stealChunk := flag.Int("steal-chunk", 0, "max cells stolen per steal from another backend's queue tail (0: 8)")
 	peerFill := flag.Bool("peer-fill", true, "probe the cache owner before computing a cell elsewhere")
@@ -80,7 +80,6 @@ func main() {
 			LoadFactor:    *loadFactor,
 		},
 		Tenants:            tenants,
-		Scheduling:         *scheduling,
 		BackendConcurrency: *backendConcurrency,
 		StealChunk:         *stealChunk,
 		NoPeerFill:         !*peerFill,

@@ -17,6 +17,7 @@ import (
 
 	"pcoup/internal/machine"
 	"pcoup/internal/service"
+	"pcoup/internal/tenant"
 )
 
 // maxDispatchBackoff caps the failover backoff between attempts of one
@@ -33,70 +34,23 @@ func (e permanentError) Unwrap() error { return e.err }
 
 // budgetExceededError marks a backend job that finished in the
 // budget_exceeded state (the simulation hit its cycle budget). It is
-// permanent — every backend would run out identically — and the gateway
-// job mirrors the backend's terminal state instead of reporting failed.
+// permanent — every backend would run out identically — and matches
+// service.ErrBudgetExceeded, so the gateway job mirrors the backend's
+// terminal state instead of reporting failed.
 type budgetExceededError struct{ msg string }
 
-func (e budgetExceededError) Error() string { return e.msg }
-
-// runJob executes one gateway job end to end.
-func (g *Gateway) runJob(job *fleetJob) {
-	job.mu.Lock()
-	if job.state.Terminal() { // cancelled while queued
-		job.mu.Unlock()
-		return
-	}
-	job.state = service.JobRunning
-	job.started = time.Now()
-	ctx, cancel := context.WithCancel(g.baseCtx)
-	job.cancel = cancel
-	alreadyCancelled := job.cancelled
-	job.notifyLocked()
-	job.mu.Unlock()
-	defer cancel()
-	g.metrics.JobState(string(service.JobRunning))
-	if alreadyCancelled {
-		cancel()
-	}
-
-	var payload json.RawMessage
-	var err error
-	if job.spec.Sweep != nil {
-		payload, err = g.runSweepJob(ctx, job)
-	} else {
-		payload, err = g.runUnitJob(ctx, job)
-	}
-
-	var state service.JobState
-	var errMsg string
-	var be budgetExceededError
-	switch {
-	case err == nil:
-		state = service.JobDone
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		state = service.JobCancelled
-		errMsg = "cancelled"
-	case errors.As(err, &be):
-		state = service.JobBudgetExceeded
-		errMsg = err.Error()
-	default:
-		state = service.JobFailed
-		errMsg = err.Error()
-	}
-	job.finish(state, payload, errMsg)
-	g.metrics.JobState(string(state))
-}
+func (e budgetExceededError) Error() string        { return e.msg }
+func (e budgetExceededError) Is(target error) bool { return target == service.ErrBudgetExceeded }
 
 // runSweepJob scatters the sweep's cells into the tenant-fair dispatch
 // queues (each cell at its content key's ring owner) and gathers the
 // results back in grid order, so the merged payload and the NDJSON
 // stream are byte-identical to a single backend's.
-func (g *Gateway) runSweepJob(ctx context.Context, job *fleetJob) (json.RawMessage, error) {
-	sw := job.spec.Sweep
+func (g *Gateway) runSweepJob(ctx context.Context, job *service.Job, ten *tenant.Tenant) (json.RawMessage, error) {
+	spec := job.Spec()
+	sw := spec.Sweep
 	cells := sw.Cells()
-	job.mu.Lock()
-	job.total = len(cells)
-	job.mu.Unlock()
+	job.SetTotal(len(cells))
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -108,20 +62,20 @@ func (g *Gateway) runSweepJob(ctx context.Context, job *fleetJob) (json.RawMessa
 	for i, c := range cells {
 		specJSON, err := json.Marshal(service.JobSpec{
 			Sweep:     sw.SingleCellSweep(c),
-			Options:   job.spec.Options,
-			TimeoutMS: job.spec.TimeoutMS,
+			Options:   spec.Options,
+			TimeoutMS: spec.TimeoutMS,
 		})
 		if err != nil {
-			job.tenant.SubQueued(len(cells)) // nothing was enqueued
+			ten.SubQueued(len(cells)) // nothing was enqueued
 			return nil, err
 		}
-		key, err := service.SweepCellContentKey(c, sw.Mode, job.spec.Options)
+		key, err := service.SweepCellContentKey(c, sw.Mode, spec.Options)
 		if err != nil {
-			job.tenant.SubQueued(len(cells))
+			ten.SubQueued(len(cells))
 			return nil, err
 		}
 		tasks = append(tasks, &task{
-			ctx: ctx, ten: job.tenant, key: key, content: true,
+			ctx: ctx, ten: ten, key: key, content: true,
 			specJSON: specJSON, index: i,
 			owner: g.pool.ownerURL(key), resCh: resCh,
 		})
@@ -150,40 +104,37 @@ func (g *Gateway) runSweepJob(ctx context.Context, job *fleetJob) (json.RawMessa
 			allHit = false
 		}
 		for nextEmit < len(results) && results[nextEmit] != nil {
-			job.appendCell(results[nextEmit])
+			job.AppendCell(results[nextEmit])
 			nextEmit++
 		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	job.mu.Lock()
-	job.hit = allHit
-	job.mu.Unlock()
+	job.SetHit(allHit)
 	return service.MergeSweepPayload(sw, results)
 }
 
 // runUnitJob forwards a whole cell/experiment job through the dispatch
 // queue of its content-key owner.
-func (g *Gateway) runUnitJob(ctx context.Context, job *fleetJob) (json.RawMessage, error) {
-	specJSON, err := json.Marshal(job.spec)
+func (g *Gateway) runUnitJob(ctx context.Context, job *service.Job, ten *tenant.Tenant) (json.RawMessage, error) {
+	spec := job.Spec()
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		job.tenant.SubQueued(1)
+		ten.SubQueued(1)
 		return nil, err
 	}
-	key, content := routeKey(&job.spec)
+	key, content := routeKey(&spec)
 	resCh := make(chan taskResult, 1)
 	g.disp.enqueue([]*task{{
-		ctx: ctx, ten: job.tenant, key: key, content: content,
+		ctx: ctx, ten: ten, key: key, content: content,
 		specJSON: specJSON, owner: g.pool.ownerURL(key), resCh: resCh,
 	}})
 	res := <-resCh
 	if res.err != nil {
 		return nil, res.err
 	}
-	job.mu.Lock()
-	job.hit = res.hit
-	job.mu.Unlock()
+	job.SetHit(res.hit)
 	return res.payload, nil
 }
 
@@ -197,15 +148,17 @@ func (g *Gateway) worker(b *Backend) {
 		if t == nil {
 			return
 		}
-		if err := t.ctx.Err(); err != nil {
-			// Cancelled while queued: deliver without dispatching so the
-			// job's gather loop still sees every cell.
-			t.resCh <- taskResult{index: t.index, err: err}
-		} else {
-			payload, hit, err := g.dispatchTask(t, b)
-			t.resCh <- taskResult{index: t.index, payload: payload, hit: hit, err: err}
+		res := taskResult{index: t.index, err: t.ctx.Err()}
+		if res.err == nil {
+			res.payload, res.hit, res.err = g.dispatchTask(t, b)
 		}
+		// A task cancelled while queued is delivered without dispatching,
+		// so the job's gather loop still sees every cell. Release the
+		// tenant's inflight slot before delivering: the last cell's
+		// result may end the job, and the job must not be seen finished
+		// while its tenant still holds the slot.
 		g.disp.complete(t)
+		t.resCh <- res
 	}
 }
 

@@ -150,13 +150,13 @@ func runFleetSweep(ctx context.Context, gw *Gateway, sw *service.SweepSpec) (tim
 		return 0, 0, err
 	}
 	select {
-	case <-job.done:
+	case <-job.Done():
 	case <-ctx.Done():
-		gw.Cancel(job.id)
-		<-job.done
+		gw.jobs.Cancel(job.ID())
+		<-job.Done()
 		return 0, 0, ctx.Err()
 	}
-	v := job.view(false)
+	v := job.View(false)
 	if v.State != service.JobDone {
 		return 0, 0, fmt.Errorf("sweep %s: %s", v.State, v.Error)
 	}

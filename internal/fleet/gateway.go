@@ -14,14 +14,6 @@ import (
 	"pcoup/internal/tenant"
 )
 
-// Gateway submission errors distinguished by the HTTP layer.
-var (
-	// ErrDraining: the gateway is shutting down.
-	ErrDraining = errors.New("fleet: shutting down, not accepting jobs")
-	// ErrNotFound: no such gateway job.
-	ErrNotFound = errors.New("fleet: no such job")
-)
-
 // Options configures a Gateway.
 type Options struct {
 	// Pool configures the backend set and health checking.
@@ -66,8 +58,9 @@ type Options struct {
 	// hits do not spawn pointless duplicates (default 25ms).
 	HedgeMinDelay time.Duration
 	// PresetNames lists preset names known to the backends besides
-	// "baseline"; specs naming them are forwarded without local
-	// validation (the backend validates).
+	// "baseline". Specs naming them pass JobSpec.Normalize's structural
+	// checks at the gateway; the machine-dependent ones (a program's
+	// bounded compile) are left to the backend that resolves the preset.
 	PresetNames []string
 }
 
@@ -102,15 +95,20 @@ func (o *Options) defaults() {
 }
 
 // Gateway fronts a pool of pcserved backends behind the same HTTP job
-// API: sweeps scatter across the ring per cell and gather back in grid
-// order (byte-identical to a single backend); other jobs forward whole
-// to their content-key owner.
+// API and job registry as one pcserved; only the executor differs:
+// sweeps scatter across the ring per cell and gather back in grid order
+// (byte-identical to a single backend), other jobs forward whole to
+// their content-key owner.
 type Gateway struct {
 	opts    Options
 	pool    *Pool
 	tenants *tenant.Registry
 	disp    *dispatcher
 	metrics *Metrics
+	jobs    *service.Registry
+	// presets is what specs validate against: baseline, plus each
+	// PresetNames entry by name only (nil machine: the backends hold it).
+	presets map[string]*machine.Config
 	client  *http.Client // dispatch client (no timeout: streams are long)
 	probe   *http.Client // peer-fill cache probes (bounded)
 	sampler *latencySampler
@@ -120,12 +118,8 @@ type Gateway struct {
 	wg         sync.WaitGroup // job goroutines
 	workerWg   sync.WaitGroup // dispatch workers
 
-	mu        sync.Mutex
-	jobs      map[string]*fleetJob
-	order     []*fleetJob
-	nextID    int
-	accepting bool
-	started   bool
+	mu      sync.Mutex // guards started
+	started bool
 }
 
 // New builds a Gateway; call Start before serving its Handler.
@@ -139,20 +133,28 @@ func New(opts Options) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
+	presets := map[string]*machine.Config{"baseline": machine.Baseline()}
+	for _, name := range opts.PresetNames {
+		if name != "baseline" {
+			presets[name] = nil
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Gateway{
-		opts:       opts,
-		pool:       pool,
-		tenants:    opts.Tenants,
-		disp:       newDispatcher(opts.Pool.Backends, opts.Scheduling == "drr", opts.StealChunk, m),
-		metrics:    m,
+		opts:    opts,
+		pool:    pool,
+		tenants: opts.Tenants,
+		disp:    newDispatcher(opts.Pool.Backends, opts.Scheduling == "drr", opts.StealChunk, m),
+		metrics: m,
+		jobs: service.NewRegistry("f", func(_ *service.Job, state service.JobState) {
+			m.JobState(string(state))
+		}),
+		presets:    presets,
 		client:     &http.Client{},
 		probe:      &http.Client{Timeout: 2 * time.Second},
 		sampler:    newLatencySampler(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       map[string]*fleetJob{},
-		accepting:  true,
 	}, nil
 }
 
@@ -189,8 +191,8 @@ func (g *Gateway) Start() error {
 // jobs drain until ctx expires (then their dispatches are cancelled),
 // and the prober stops.
 func (g *Gateway) Shutdown(ctx context.Context) error {
+	g.jobs.Close()
 	g.mu.Lock()
-	g.accepting = false
 	started := g.started
 	g.mu.Unlock()
 
@@ -216,87 +218,10 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return drainErr
 }
 
-// fleetJob is one gateway job: a scattered sweep or a forwarded unit.
-type fleetJob struct {
-	mu sync.Mutex
-
-	id      string
-	spec    service.JobSpec
-	tenant  *tenant.Tenant
-	state   service.JobState
-	errMsg  string
-	result  json.RawMessage
-	cells   []json.RawMessage
-	total   int
-	hit     bool // every dispatch was served from a backend cache
-	created time.Time
-	started time.Time
-	ended   time.Time
-
-	cancelled bool
-	cancel    context.CancelFunc
-	updated   chan struct{}
-	done      chan struct{}
-}
-
-func (j *fleetJob) notifyLocked() {
-	close(j.updated)
-	j.updated = make(chan struct{})
-}
-
-// appendCell records one merged cell in grid order and wakes streamers.
-func (j *fleetJob) appendCell(payload json.RawMessage) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cells = append(j.cells, payload)
-	j.notifyLocked()
-}
-
-func (j *fleetJob) finish(state service.JobState, result json.RawMessage, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.ended = time.Now()
-	j.notifyLocked()
-	close(j.done)
-}
-
-// view renders the job as the shared wire representation.
-func (j *fleetJob) view(withResult bool) service.JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := service.JobView{
-		ID: j.id, State: j.state, Spec: j.spec, Error: j.errMsg,
-		CacheHit:  j.hit,
-		CellsDone: len(j.cells), CellsTotal: j.total,
-		Created: j.created,
-	}
-	if j.tenant != nil {
-		v.Tenant = j.tenant.Name()
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
-	}
-	if !j.ended.IsZero() {
-		t := j.ended
-		v.Finished = &t
-	}
-	if withResult {
-		v.Result = j.result
-	}
-	return v
-}
-
 // Submit runs SubmitAs for the open-mode default tenant (tests,
 // embedded use). With a closed registry it fails: callers must
 // authenticate and use SubmitAs.
-func (g *Gateway) Submit(spec service.JobSpec) (*fleetJob, error) {
+func (g *Gateway) Submit(spec service.JobSpec) (*service.Job, error) {
 	ten := g.tenants.Default()
 	if ten == nil {
 		return nil, tenant.ErrUnauthorized
@@ -304,12 +229,12 @@ func (g *Gateway) Submit(spec service.JobSpec) (*fleetJob, error) {
 	return g.SubmitAs(spec, ten)
 }
 
-// SubmitAs validates spec (as far as the gateway can without the
-// backends' preset tables), runs admission control for the tenant, and
-// launches the job's execution. A *tenant.QuotaError return maps to
-// HTTP 429 + Retry-After.
-func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*fleetJob, error) {
-	if err := g.validate(&spec); err != nil {
+// SubmitAs validates spec (JobSpec.Normalize against the presets the
+// gateway knows), runs admission control for the tenant, and launches
+// the job's execution. A *tenant.QuotaError return maps to HTTP 429 +
+// Retry-After.
+func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*service.Job, error) {
+	if _, err := spec.Normalize(g.presets); err != nil {
 		return nil, err
 	}
 	cells := 1
@@ -319,31 +244,21 @@ func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*fleetJob,
 	if err := g.admit(ten, cells); err != nil {
 		return nil, err
 	}
-	g.mu.Lock()
-	if !g.accepting {
-		g.mu.Unlock()
-		ten.SubQueued(cells)
-		return nil, ErrDraining
+	// The admitted cells stay reserved on the tenant until the
+	// dispatcher takes them; a job that ends before it starts hands them
+	// back through the registry.
+	job := service.NewJob(spec, nil, ten.Name(), func() { ten.SubQueued(cells) })
+	if err := g.jobs.Add(job, func() error { g.wg.Add(1); return nil }); err != nil {
+		return nil, err
 	}
-	g.nextID++
-	job := &fleetJob{
-		id:      fmt.Sprintf("f-%06d", g.nextID),
-		spec:    spec,
-		tenant:  ten,
-		state:   service.JobQueued,
-		created: time.Now(),
-		updated: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	g.jobs[job.id] = job
-	g.order = append(g.order, job)
-	g.wg.Add(1)
-	g.mu.Unlock()
-	g.metrics.JobState(string(service.JobQueued))
-
 	go func() {
 		defer g.wg.Done()
-		g.runJob(job)
+		g.jobs.Run(g.baseCtx, job, 0, func(ctx context.Context, job *service.Job) (json.RawMessage, error) {
+			if job.Spec().Sweep != nil {
+				return g.runSweepJob(ctx, job, ten)
+			}
+			return g.runUnitJob(ctx, job, ten)
+		})
 	}()
 	return job, nil
 }
@@ -379,115 +294,9 @@ func (g *Gateway) admit(ten *tenant.Tenant, n int) error {
 	return nil
 }
 
-// validate mirrors the backend's spec validation where the gateway has
-// the information; preset resolution beyond "baseline" is left to the
-// backend that receives the forwarded job.
-func (g *Gateway) validate(spec *service.JobSpec) error {
-	if spec.Preset != "" && spec.Preset != "baseline" {
-		known := false
-		for _, n := range g.opts.PresetNames {
-			if n == spec.Preset {
-				known = true
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown preset %q (gateway knows: %s)", spec.Preset, presetList(g.opts.PresetNames))
-		}
-		// Minimal structural checks; the owning backend validates fully.
-		selected := 0
-		if spec.Experiment != "" {
-			selected++
-		}
-		if spec.Cell != nil {
-			selected++
-		}
-		if spec.Sweep != nil {
-			selected++
-		}
-		if spec.Program != nil {
-			selected++
-		}
-		if selected != 1 {
-			return fmt.Errorf("spec must set exactly one of experiment, cell, sweep, program (got %d)", selected)
-		}
-		// Mirror the backend rule: a sweep with a preset is always invalid,
-		// and skipping Normalize here would scatter an unnormalized sweep
-		// (empty bench list, unchecked geometry) into zero cells.
-		if spec.Sweep != nil {
-			return fmt.Errorf("sweep jobs build their own machines (machine/preset must be unset)")
-		}
-		return nil
-	}
-	_, err := spec.Normalize(map[string]*machine.Config{"baseline": machine.Baseline()})
-	return err
-}
-
-func presetList(names []string) string {
-	out := "baseline"
-	for _, n := range names {
-		out += ", " + n
-	}
-	return out
-}
-
-// Get returns a gateway job by id.
-func (g *Gateway) Get(id string) (*fleetJob, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	job, ok := g.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return job, nil
-}
-
-// List snapshots all gateway jobs in submission order.
-func (g *Gateway) List() []service.JobView {
-	g.mu.Lock()
-	jobs := append([]*fleetJob(nil), g.order...)
-	g.mu.Unlock()
-	out := make([]service.JobView, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.view(false)
-	}
-	return out
-}
-
-// Cancel requests cancellation of a gateway job; in-flight backend
-// dispatches observe it through their request contexts.
-func (g *Gateway) Cancel(id string) (*fleetJob, error) {
-	job, err := g.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	job.mu.Lock()
-	job.cancelled = true
-	state := job.state
-	cancel := job.cancel
-	job.mu.Unlock()
-	if state.Terminal() {
-		return job, nil
-	}
-	if cancel != nil {
-		cancel()
-	} else {
-		job.finish(service.JobCancelled, nil, "cancelled before execution")
-		g.metrics.JobState(string(service.JobCancelled))
-	}
-	return job, nil
-}
-
 // gauges samples the live state for /metrics and /healthz.
 func (g *Gateway) gauges() FleetGauges {
-	g.mu.Lock()
-	byState := map[string]int{}
-	for _, j := range g.order {
-		j.mu.Lock()
-		byState[string(j.state)]++
-		j.mu.Unlock()
-	}
-	accepting := g.accepting
-	g.mu.Unlock()
+	byState, accepting := g.jobs.Count()
 	var backends []BackendGauge
 	for _, b := range g.pool.all() {
 		b.mu.Lock()

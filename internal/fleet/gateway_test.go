@@ -327,8 +327,8 @@ func TestSweepFailureDoesNotLeakTenantAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.done
-		if v := job.view(false); v.State != service.JobFailed {
+		<-job.Done()
+		if v := job.View(false); v.State != service.JobFailed {
 			t.Fatalf("sweep %d: state %s, want %s", i, v.State, service.JobFailed)
 		}
 		if n := gw.disp.queued(); n != 0 {
@@ -339,6 +339,38 @@ func TestSweepFailureDoesNotLeakTenantAccounting(t *testing.T) {
 		}
 		if inf := ten.Inflight(); inf != 0 {
 			t.Fatalf("sweep %d leaked %d inflight-cell count(s)", i, inf)
+		}
+	}
+}
+
+// TestEarlyCancelReleasesQueuedCells: a cancel that lands between
+// submission and the executor starting the job must hand the tenant's
+// queued-cell reservation back. Otherwise repeated early cancels pin the
+// tenant against its MaxQueuedCells quota with no work outstanding.
+func TestEarlyCancelReleasesQueuedCells(t *testing.T) {
+	f := &fakeBackend{}
+	f.stalled.Store(true) // dispatched cells hang until cancelled
+	ts := httptest.NewServer(f.handler())
+	t.Cleanup(ts.Close)
+	gw, _ := startGateway(t, []string{ts.URL}, nil)
+	ten := gw.Tenants().Default()
+	for i := 0; i < 200; i++ {
+		job, err := gw.Submit(service.JobSpec{Sweep: &testSweep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gw.jobs.Cancel(job.ID()); err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		if v := job.View(false); v.State != service.JobCancelled {
+			t.Fatalf("cancel %d: state %s, want %s", i, v.State, service.JobCancelled)
+		}
+		if q := ten.Queued(); q != 0 {
+			t.Fatalf("cancel %d leaked %d queued-cell count(s)", i, q)
+		}
+		if inf := ten.Inflight(); inf != 0 {
+			t.Fatalf("cancel %d leaked %d inflight-cell count(s)", i, inf)
 		}
 	}
 }

@@ -111,8 +111,8 @@ func TestHedgingFiresAndCancelsLoser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-wj.done
-	if v := wj.view(false); v.State != service.JobDone {
+	<-wj.Done()
+	if v := wj.View(false); v.State != service.JobDone {
 		t.Fatalf("warm-up job: %s (%s)", v.State, v.Error)
 	}
 
@@ -130,11 +130,11 @@ func TestHedgingFiresAndCancelsLoser(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-job.done:
+	case <-job.Done():
 	case <-time.After(30 * time.Second):
 		t.Fatal("hedged job never finished (hedge did not fire?)")
 	}
-	if v := job.view(true); v.State != service.JobDone || string(v.Result) != `{"v":1}` {
+	if v := job.View(true); v.State != service.JobDone || string(v.Result) != `{"v":1}` {
 		t.Fatalf("hedged job: %s (%s), result %s", v.State, v.Error, v.Result)
 	}
 

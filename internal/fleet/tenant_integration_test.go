@@ -9,6 +9,7 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -218,6 +219,30 @@ func slowProxy(t *testing.T, target string, delay time.Duration) string {
 	return ts.URL
 }
 
+// gatedProxy fronts a backend whose job API (probes stay open) holds
+// every request until release is called: a straggler whose queue backs
+// up for as long as the test needs, whatever either backend's speed.
+func gatedProxy(t *testing.T, target string) (string, func()) {
+	t.Helper()
+	u, err := url.Parse(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	rp := httputil.NewSingleHostReverseProxy(u)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/") {
+			<-gate
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(release) // runs before ts.Close: held requests finish first
+	return ts.URL, release
+}
+
 // TestStealPreservesByteIdenticalStream: with one straggling backend,
 // the fast backend steals from the straggler's queue tail; the merged
 // stream must still be byte-identical to a single-backend run.
@@ -225,12 +250,12 @@ func TestStealPreservesByteIdenticalStream(t *testing.T) {
 	refURL, _, _ := startBackend(t, service.Options{})
 	urlA, _, _ := startBackend(t, service.Options{})
 	urlB, _, _ := startBackend(t, service.Options{})
-	slowA := slowProxy(t, urlA, 400*time.Millisecond)
+	slowA, release := gatedProxy(t, urlA)
 
 	// One worker per backend: the straggler's cells sit in its queue
 	// (stealable) instead of being scattered into in-flight requests.
 	// Peer-fill is off so the fast backend's cells don't ride probe
-	// round-trips through the slow proxy.
+	// round-trips through the held proxy.
 	gw, gwTS := startGateway(t, []string{slowA, urlB}, func(o *Options) {
 		o.BackendConcurrency = 1
 		o.NoPeerFill = true
@@ -242,7 +267,18 @@ func TestStealPreservesByteIdenticalStream(t *testing.T) {
 		t.Fatalf("reference sweep: %s (%s)", ref.State, ref.Error)
 	}
 
-	got := waitJob(t, gwTS.URL, submitJob(t, gwTS.URL, spec).ID)
+	// The straggler's one worker holds its first cell at the gate, so
+	// the rest of its queue (all but 1 of ~12 ring-owned cells) waits
+	// until the fast backend has drained its own queue and stolen. Only
+	// then is the straggler released; with a fixed delay instead, a
+	// slow host could let the straggler drain first and nothing would
+	// be left to steal.
+	job := submitJob(t, gwTS.URL, spec)
+	for deadline := time.Now().Add(2 * time.Minute); gw.Metrics().Steals() == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	release()
+	got := waitJob(t, gwTS.URL, job.ID)
 	if got.State != service.JobDone {
 		t.Fatalf("fleet sweep: %s (%s)", got.State, got.Error)
 	}

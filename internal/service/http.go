@@ -4,30 +4,21 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 
 	"pcoup/internal/machine"
 )
 
-// Handler returns the daemon's HTTP API:
+// Handler returns the daemon's HTTP API: the shared job routes (see
+// HandleJobs) plus
 //
-//	POST   /v1/jobs             submit a job (202 + job view)
-//	POST   /v1/programs         compile-and-run an untrusted source program (202 + job view; 422 on limit/syntax rejection)
-//	GET    /v1/jobs             list jobs
-//	GET    /v1/jobs/{id}        job status; includes result when done
-//	DELETE /v1/jobs/{id}        cancel a queued or running job
-//	GET    /v1/jobs/{id}/stream NDJSON: per-cell results as they finish
 //	GET    /v1/cache/{key}      raw cached payload for a content key (404 on miss)
 //	GET    /healthz             liveness: always 200 while the process serves, with load detail
 //	GET    /readyz              readiness: 503 + Retry-After while draining
 //	GET    /metrics             Prometheus text exposition
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/programs", s.handleProgram)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
+	HandleJobs(mux, s.jobs, s.submitRequest)
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -35,8 +26,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON renders v with a stable, readable encoding.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// submitRequest submits spec attributed to the request's X-PC-Tenant.
+// The tenant name is pure attribution (journal, metrics, views) —
+// authentication happens at the gateway, which sets this header from
+// the verified API key. Length-cap the client-supplied value so a
+// hostile direct submitter cannot bloat journal records.
+func (s *Server) submitRequest(r *http.Request, spec JobSpec) (*Job, error) {
+	tenant := r.Header.Get("X-PC-Tenant")
+	if len(tenant) > 64 {
+		tenant = tenant[:64]
+	}
+	return s.submit(spec, tenant)
+}
+
+// WriteJSON renders v with a stable, readable encoding — the one
+// encoding every pcserved and pcfleet response body uses.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -44,49 +49,99 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-type errorBody struct {
-	Error string `json:"error"`
+// WriteError renders err as the {"error": ...} body.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{err.Error()})
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
+// HandleJobs registers the job routes shared by pcserved and pcfleet on
+// mux, over the jobs in reg:
+//
+//	POST   /v1/jobs             submit a job (202 + job view)
+//	POST   /v1/programs         compile-and-run an untrusted source program (202 + job view; 422 on limit/syntax rejection)
+//	GET    /v1/jobs             list jobs
+//	GET    /v1/jobs/{id}        job status; includes result when done
+//	DELETE /v1/jobs/{id}        cancel a queued or running job
+//	GET    /v1/jobs/{id}/stream NDJSON: per-cell results as they finish
+//
+// submit is the executor's front door: it validates and accepts a
+// decoded spec for the request's submitter. Its error picks the status:
+// 429 + Retry-After for a quota rejection (an error with a
+// RetryAfterSeconds method), 503 while draining or full, 422 for a
+// ProgramError, 400 for any other invalid spec.
+func HandleJobs(mux *http.ServeMux, reg *Registry, submit func(*http.Request, JobSpec) (*Job, error)) {
+	respond := func(w http.ResponseWriter, r *http.Request, spec JobSpec) {
+		job, err := submit(r, spec)
+		var quota interface{ RetryAfterSeconds() int }
+		var pe *ProgramError
+		switch {
+		case err == nil:
+			WriteJSON(w, http.StatusAccepted, job.View(false))
+		case errors.As(err, &quota):
+			w.Header().Set("Retry-After", strconv.Itoa(quota.RetryAfterSeconds()))
+			WriteError(w, http.StatusTooManyRequests, err)
+		case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
+			WriteError(w, http.StatusServiceUnavailable, err)
+		case errors.As(err, &pe):
+			WriteError(w, http.StatusUnprocessableEntity, err)
+		default:
+			WriteError(w, http.StatusBadRequest, err)
+		}
+	}
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		var spec JobSpec
+		if decodeStrict(w, r, &spec) {
+			respond(w, r, spec)
+		}
+	})
+	mux.HandleFunc("POST /v1/programs", func(w http.ResponseWriter, r *http.Request) {
+		var req ProgramRequest
+		if decodeStrict(w, r, &req) {
+			respond(w, r, req.JobSpec())
+		}
+	})
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, reg.List())
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if job, ok := jobFor(w, r, reg.Get); ok {
+			WriteJSON(w, http.StatusOK, job.View(true))
+		}
+	})
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if job, ok := jobFor(w, r, reg.Cancel); ok {
+			WriteJSON(w, http.StatusOK, job.View(false))
+		}
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		if job, ok := jobFor(w, r, reg.Get); ok {
+			streamJob(w, r, job)
+		}
+	})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
+// decodeStrict decodes the request body into v, rejecting unknown
+// fields; on failure it writes the 400 and returns false.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if err := dec.Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return false
 	}
-	// The tenant name is pure attribution (journal, metrics, views) —
-	// authentication happens at the gateway, which sets this header from
-	// the verified API key. Length-cap the client-supplied value so a
-	// hostile direct submitter cannot bloat journal records.
-	tenant := r.Header.Get("X-PC-Tenant")
-	if len(tenant) > 64 {
-		tenant = tenant[:64]
-	}
-	s.submitAndRespond(w, spec, tenant)
+	return true
 }
 
-// submitAndRespond enqueues spec and writes the submission response:
-// 202 with the job view, 503 when draining or full, 422 when the
-// submitted program itself was rejected (ProgramError), 400 otherwise.
-func (s *Server) submitAndRespond(w http.ResponseWriter, spec JobSpec, tenant string) {
-	job, err := s.SubmitWithTenant(spec, tenant)
-	var pe *ProgramError
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusAccepted, job.view(false))
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.As(err, &pe):
-		writeError(w, http.StatusUnprocessableEntity, err)
-	default:
-		writeError(w, http.StatusBadRequest, err)
+// jobFor resolves {id} through lookup, writing a 404 on miss.
+func jobFor(w http.ResponseWriter, r *http.Request, lookup func(string) (*Job, error)) (*Job, bool) {
+	job, err := lookup(r.PathValue("id"))
+	if err != nil {
+		WriteError(w, http.StatusNotFound, err)
+		return nil, false
 	}
+	return job, true
 }
 
 // ProgramRequest is the POST /v1/programs body: the program spec
@@ -111,60 +166,13 @@ func (pr *ProgramRequest) JobSpec() JobSpec {
 	}
 }
 
-func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
-	var req ProgramRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	tenant := r.Header.Get("X-PC-Tenant")
-	if len(tenant) > 64 {
-		tenant = tenant[:64]
-	}
-	s.submitAndRespond(w, req.JobSpec(), tenant)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.List())
-}
-
-// jobFor resolves {id}, writing a 404 on miss.
-func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	job, err := s.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return nil, false
-	}
-	return job, true
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if job, ok := s.jobFor(w, r); ok {
-		writeJSON(w, http.StatusOK, job.view(true))
-	}
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, err := s.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, job.view(false))
-}
-
-// handleStream writes NDJSON: one line per completed sweep cell (in grid
+// streamJob writes NDJSON: one line per completed sweep cell (in grid
 // order), then a terminal status line {"state":...}. Non-sweep jobs get
 // their whole result as the single data line once done. The stream
 // follows a live job until it reaches a terminal state or the client
-// goes away.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFor(w, r)
-	if !ok {
-		return
-	}
+// goes away. A gateway job appends its scattered cells in grid order
+// too, so its stream is byte-identical to a single backend's.
+func streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	sent := 0
@@ -220,7 +228,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	payload, ok := s.cache.Get(key)
 	if !ok {
 		w.Header().Set("X-PC-Cache", "miss")
-		writeError(w, http.StatusNotFound, errors.New("cache: no entry for key"))
+		WriteError(w, http.StatusNotFound, errors.New("cache: no entry for key"))
 		return
 	}
 	w.Header().Set("X-PC-Cache", "hit")
@@ -253,7 +261,7 @@ func (s *Server) health() Health {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
+	WriteJSON(w, http.StatusOK, s.health())
 }
 
 // handleReadyz reports whether the daemon accepts new jobs. During a
@@ -264,11 +272,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !h.Accepting {
 		h.Status = "draining"
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		WriteJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
 	h.Status = "ready"
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -41,10 +41,10 @@ func TestStreamClientDisconnect(t *testing.T) {
 		t.Fatal("stream handler still blocked 5s after client disconnect")
 	}
 
-	if _, err := srv.Cancel(blocker.ID); err != nil {
+	if _, err := srv.jobs.Cancel(blocker.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Cancel(queued.ID); err != nil {
+	if _, err := srv.jobs.Cancel(queued.ID); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,7 +102,7 @@ func TestReadyzDrain(t *testing.T) {
 		t.Fatalf("healthz during drain: %+v", h)
 	}
 
-	if _, err := srv.Cancel(blocker.ID); err != nil {
+	if _, err := srv.jobs.Cancel(blocker.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

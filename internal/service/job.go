@@ -1,41 +1,12 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"sync"
-	"time"
 
 	"pcoup/internal/bench"
 	"pcoup/internal/experiments"
 	"pcoup/internal/machine"
 )
-
-// JobState is a job's lifecycle state.
-type JobState string
-
-const (
-	// JobQueued: accepted, waiting for a worker.
-	JobQueued JobState = "queued"
-	// JobRunning: a worker is executing it.
-	JobRunning JobState = "running"
-	// JobDone: finished with a result.
-	JobDone JobState = "done"
-	// JobFailed: finished with an error.
-	JobFailed JobState = "failed"
-	// JobCancelled: cancelled before or during execution.
-	JobCancelled JobState = "cancelled"
-	// JobBudgetExceeded: the simulation hit its cycle budget before
-	// completing. Distinct from failed so clients (and the fuzz oracle)
-	// can tell "your program ran too long" from "the toolchain broke".
-	JobBudgetExceeded JobState = "budget_exceeded"
-)
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled || s == JobBudgetExceeded
-}
 
 // CellSpec selects a single (benchmark, mode) simulation.
 type CellSpec struct {
@@ -92,16 +63,14 @@ type JobSpec struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Normalize validates the spec against the registry, the benchmark
-// suite, and the preset table, and fills defaults (exported for the
-// fleet gateway, which validates with the presets it knows). It returns
-// the resolved machine config (nil meaning "driver default").
+// Normalize validates the spec against the experiment registry, the
+// benchmark suite, and the preset table, and fills defaults. It returns
+// the resolved machine config (nil meaning "driver default"). It is the
+// one validation both pcserved and pcfleet apply. A preset mapped to a
+// nil config is known by name only (the gateway's -preset-names: the
+// backends hold the machine), so the machine-dependent check — the
+// program's bounded compile — is left to the backend that resolves it.
 func (spec *JobSpec) Normalize(presets map[string]*machine.Config) (*machine.Config, error) {
-	return spec.normalize(presets)
-}
-
-// normalize is Normalize's implementation.
-func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Config, error) {
 	selected := 0
 	if spec.Experiment != "" {
 		selected++
@@ -167,7 +136,7 @@ func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Con
 		if err := spec.Sweep.Normalize(); err != nil {
 			return nil, err
 		}
-		if cfg != nil {
+		if spec.Machine != nil || spec.Preset != "" {
 			return nil, fmt.Errorf("sweep jobs build their own machines (machine/preset must be unset)")
 		}
 		if spec.Options.Trace {
@@ -177,12 +146,17 @@ func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Con
 		if spec.Options.Trace {
 			return nil, fmt.Errorf("options.trace applies to cell jobs only")
 		}
+		if err := spec.Program.normalize(); err != nil {
+			return nil, err
+		}
 		// Validate by compiling under the service limits against the
 		// resolved machine: a recursion bomb, an over-cap source, or a
 		// thread explosion is rejected here with a typed ProgramError
 		// (HTTP 422) instead of ever reaching a worker.
-		if err := spec.Program.normalize(cfg); err != nil {
-			return nil, err
+		if spec.Preset == "" || cfg != nil {
+			if err := spec.Program.compiles(cfg); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return cfg, nil
@@ -262,125 +236,6 @@ func (sw *SweepSpec) SingleCellSweep(c SweepCell) *SweepSpec {
 		MinIU:   c.IU, MaxIU: c.IU,
 		MinFPU: c.FPU, MaxFPU: c.FPU,
 	}
-}
-
-// Job is one submitted unit of work and its full lifecycle.
-type Job struct {
-	mu sync.Mutex
-
-	id       string
-	spec     JobSpec
-	tenant   string          // submitting tenant (X-PC-Tenant; "" when unattributed)
-	cfg      *machine.Config // resolved from spec; nil = driver default
-	state    JobState
-	errMsg   string
-	result   json.RawMessage
-	cells    []json.RawMessage // per-cell payloads (sweep jobs)
-	total    int               // expected cell count (sweep jobs)
-	hit      bool              // served from the whole-job cache entry
-	attempts int               // executions after journal recoveries (0: first run)
-	created  time.Time
-	started  time.Time
-	ended    time.Time
-
-	cancelled bool // DELETE received
-	cancel    context.CancelFunc
-	// updated is closed and replaced whenever cells/state change, waking
-	// stream subscribers; done is closed once on reaching a terminal
-	// state.
-	updated chan struct{}
-	done    chan struct{}
-}
-
-func newJob(id string, spec JobSpec, cfg *machine.Config, now time.Time) *Job {
-	return &Job{
-		id: id, spec: spec, cfg: cfg,
-		state:   JobQueued,
-		created: now,
-		updated: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// notifyLocked wakes stream subscribers; callers hold j.mu.
-func (j *Job) notifyLocked() {
-	close(j.updated)
-	j.updated = make(chan struct{})
-}
-
-// appendCell records one completed sweep cell and wakes streamers.
-func (j *Job) appendCell(payload json.RawMessage) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cells = append(j.cells, payload)
-	j.notifyLocked()
-}
-
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.ended = now
-	j.notifyLocked()
-	close(j.done)
-}
-
-// JobView is the wire representation of a job.
-type JobView struct {
-	ID    string   `json:"id"`
-	State JobState `json:"state"`
-	Spec  JobSpec  `json:"spec"`
-	// Tenant attributes the job to its submitter (omitted when the
-	// submission carried no tenant identity). Views only — never part of
-	// result payloads or NDJSON data lines, so byte-identity of cell
-	// streams is unaffected.
-	Tenant   string `json:"tenant,omitempty"`
-	Error    string `json:"error,omitempty"`
-	CacheHit bool   `json:"cache_hit"`
-	// Attempts counts journal-recovery re-executions (0: never
-	// interrupted).
-	Attempts int `json:"attempts,omitempty"`
-	// CellsDone/CellsTotal report sweep progress (0/0 otherwise).
-	CellsDone  int             `json:"cells_done,omitempty"`
-	CellsTotal int             `json:"cells_total,omitempty"`
-	Created    time.Time       `json:"created"`
-	Started    *time.Time      `json:"started,omitempty"`
-	Finished   *time.Time      `json:"finished,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-}
-
-// view snapshots the job. withResult controls whether the (possibly
-// large) result payload is included.
-func (j *Job) view(withResult bool) JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := JobView{
-		ID: j.id, State: j.state, Spec: j.spec, Tenant: j.tenant, Error: j.errMsg,
-		CacheHit: j.hit, Attempts: j.attempts,
-		CellsDone: len(j.cells), CellsTotal: j.total,
-		Created: j.created,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
-	}
-	if !j.ended.IsZero() {
-		t := j.ended
-		v.Finished = &t
-	}
-	if withResult {
-		v.Result = j.result
-	}
-	return v
 }
 
 func presetNames(presets map[string]*machine.Config) string {

@@ -61,12 +61,11 @@ const programCompileTimeout = 5 * time.Second
 // the job in the budget_exceeded state rather than pinning a worker.
 const DefaultProgramCycles = 10_000_000
 
-// normalize validates the program spec: the mode must parse, and the
-// source must compile under the service limits against the resolved
-// machine (nil = baseline). Every rejection is wrapped in ProgramError
-// so the transport layers can distinguish "your program is bad" (422)
-// from "the service is unhealthy" (5xx).
-func (p *ProgramSpec) normalize(cfg *machine.Config) error {
+// normalize checks the program's knobs and canonicalizes its mode.
+// Every rejection here and in compiles is wrapped in ProgramError so
+// the transport layers can distinguish "your program is bad" (422) from
+// "the service is unhealthy" (5xx).
+func (p *ProgramSpec) normalize() error {
 	if strings.TrimSpace(p.Source) == "" {
 		return &ProgramError{Err: fmt.Errorf("source is empty")}
 	}
@@ -81,6 +80,12 @@ func (p *ProgramSpec) normalize(cfg *machine.Config) error {
 	if p.AutoUnroll < 0 {
 		return &ProgramError{Err: fmt.Errorf("auto_unroll: must be >= 0")}
 	}
+	return nil
+}
+
+// compiles checks that the source compiles under the service limits
+// against the resolved machine (nil = baseline).
+func (p *ProgramSpec) compiles(cfg *machine.Config) error {
 	lim := compiler.ServiceLimits()
 	lim.Deadline = time.Now().Add(programCompileTimeout)
 	if _, _, err := compiler.CompileBounded(context.Background(), p.Source, cfg, p.compilerOptions(), lim); err != nil {

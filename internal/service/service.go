@@ -4,7 +4,9 @@
 // experiment drivers of internal/experiments into a long-lived daemon
 // (cmd/pcserved) that serves repeated sweeps in O(1) via caching,
 // supports per-job deadlines and cancellation threaded down into the
-// simulator's cycle loop, and drains gracefully on shutdown.
+// simulator's cycle loop, and drains gracefully on shutdown. The job
+// registry (registry.go) and the HTTP job surface (HandleJobs) are
+// shared with the fleet gateway, which differs only in its executor.
 package service
 
 import (
@@ -85,13 +87,16 @@ type Options struct {
 	ExecHook func(job *Job)
 }
 
-// Server owns the queue, the pool, the cache, and the job table.
+// Server is the local executor behind the shared job registry: a
+// bounded queue drained by a worker pool, the result cache, and the
+// journal.
 type Server struct {
 	opts    Options
 	cache   *Cache
 	metrics *Metrics
 	presets map[string]*machine.Config
 	journal *journal
+	jobs    *Registry
 	// sweepLim is the process-wide cell-execution limiter shared by every
 	// job (nil when SweepParallelism is 1: jobs run cells sequentially).
 	sweepLim *parexec.Limiter
@@ -101,12 +106,8 @@ type Server struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []*Job
-	nextID    int
-	accepting bool
-	started   bool
+	mu      sync.Mutex // guards started
+	started bool
 }
 
 // New builds a Server; call Start before serving its Handler.
@@ -138,7 +139,7 @@ func New(opts Options) *Server {
 		lim = parexec.NewLimiter(opts.SweepParallelism)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		opts:       opts,
 		sweepLim:   lim,
 		cache:      NewBoundedCache(opts.CacheMaxEntries, opts.CacheMaxBytes),
@@ -147,8 +148,17 @@ func New(opts Options) *Server {
 		queue:      make(chan *Job, opts.QueueCap),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       map[string]*Job{},
-		accepting:  true,
+	}
+	s.jobs = NewRegistry("j", s.onState)
+	return s
+}
+
+// onState keeps the metrics and the journal in step with every job
+// transition.
+func (s *Server) onState(job *Job, state JobState) {
+	s.metrics.JobState(string(state))
+	if state.Terminal() && s.journal != nil {
+		s.journal.finish(job.id, state)
 	}
 }
 
@@ -192,30 +202,25 @@ func (s *Server) Start() error {
 // restart see it complete. Called from Start with s.mu held.
 func (s *Server) recoverLocked(p pendingJob) {
 	spec := p.Spec
-	cfg, specErr := spec.normalize(s.presets)
+	cfg, specErr := spec.Normalize(s.presets)
 	attempts := p.Attempts + 1
-	job := newJob(p.ID, spec, cfg, time.Now())
-	job.tenant = p.Tenant
+	job := NewJob(spec, cfg, p.Tenant, nil)
+	job.id = p.ID
 	job.attempts = attempts
-	s.jobs[p.ID] = job
-	s.order = append(s.order, job)
-	if n := jobIDNumber(p.ID); n > s.nextID {
-		s.nextID = n
-	}
 	s.metrics.JournalRecovered()
-	s.metrics.JobState(string(JobQueued))
+	s.jobs.restore(job)
 	switch {
 	case specErr != nil:
 		// The spec no longer validates (e.g. a preset directory changed
 		// across the restart): surface the error on the job itself.
-		s.finishJob(job, JobFailed, nil, specErr.Error())
+		s.jobs.finish(job, JobFailed, nil, specErr.Error())
 	case attempts > s.opts.RetryBudget:
 		s.metrics.RetryBudgetExhausted()
-		s.finishJob(job, JobFailed, nil,
+		s.jobs.finish(job, JobFailed, nil,
 			fmt.Sprintf("retry budget exhausted: interrupted %d times (budget %d)", p.Attempts, s.opts.RetryBudget))
 	default:
 		if err := s.journal.submit(p.ID, spec, p.Tenant, attempts); err != nil {
-			s.finishJob(job, JobFailed, nil, fmt.Sprintf("journal: %v", err))
+			s.jobs.finish(job, JobFailed, nil, fmt.Sprintf("journal: %v", err))
 			return
 		}
 		go s.enqueueAfter(job, retryDelay(s.opts.RetryBackoff, attempts))
@@ -231,29 +236,23 @@ func (s *Server) enqueueAfter(job *Job, delay time.Duration) {
 		case <-s.baseCtx.Done():
 		}
 	}
-	s.mu.Lock()
-	if !s.accepting {
-		s.mu.Unlock()
-		s.finishJob(job, JobCancelled, nil, "cancelled by shutdown")
-		return
-	}
-	select {
-	case s.queue <- job:
-		s.mu.Unlock()
-	default:
-		s.mu.Unlock()
-		s.finishJob(job, JobFailed, nil, "queue full during journal recovery")
+	switch err := s.jobs.admit(func() error { return s.enqueue(job) }); {
+	case errors.Is(err, ErrDraining):
+		s.jobs.finish(job, JobCancelled, nil, "cancelled by shutdown")
+	case err != nil:
+		s.jobs.finish(job, JobFailed, nil, "queue full during journal recovery")
 	}
 }
 
-// jobIDNumber parses the numeric part of a "j-%06d" job ID (0 if the ID
-// has another shape).
-func jobIDNumber(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err != nil {
-		return 0
+// enqueue hands a job to the worker pool without blocking; callers hold
+// the registry lock, so Shutdown cannot close the queue underneath.
+func (s *Server) enqueue(job *Job) error {
+	select {
+	case s.queue <- job:
+		return nil
+	default:
+		return ErrQueueFull
 	}
-	return n
 }
 
 // Shutdown gracefully stops the daemon: new submissions are refused
@@ -263,9 +262,7 @@ func jobIDNumber(id string) int {
 // finish in the cancelled state. The cache is persisted in either case.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	wasAccepting := s.accepting
-	s.accepting = false
-	if wasAccepting && s.started {
+	if s.jobs.Close() && s.started {
 		close(s.queue)
 	}
 	s.mu.Unlock()
@@ -300,190 +297,52 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Submit validates spec and enqueues a job with no tenant attribution.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	return s.SubmitWithTenant(spec, "")
+	return s.submit(spec, "")
 }
 
-// SubmitWithTenant validates spec and enqueues a job attributed to the
-// named tenant (the gateway's X-PC-Tenant pass-through). The tenant
-// label rides into the job view, the journal, the access log, and the
+// submit validates spec and enqueues a job attributed to the named
+// tenant (the gateway's X-PC-Tenant pass-through). The tenant label
+// rides into the job view, the journal, the access log, and the
 // per-tenant counters; it never changes result bytes.
-func (s *Server) SubmitWithTenant(spec JobSpec, tenant string) (*Job, error) {
-	cfg, err := spec.normalize(s.presets)
+func (s *Server) submit(spec JobSpec, tenant string) (*Job, error) {
+	cfg, err := spec.Normalize(s.presets)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.accepting {
-		return nil, ErrDraining
-	}
-	s.nextID++
-	job := newJob(fmt.Sprintf("j-%06d", s.nextID), spec, cfg, time.Now())
-	job.tenant = tenant
-	// Journal before enqueue: a crash between the two replays the job on
-	// restart (at-least-once), never loses an accepted one.
-	if s.journal != nil {
-		if err := s.journal.submit(job.id, spec, tenant, 0); err != nil {
-			s.nextID--
-			return nil, fmt.Errorf("service: journal: %w", err)
-		}
-	}
-	select {
-	case s.queue <- job:
-	default:
-		s.nextID--
+	job := NewJob(spec, cfg, tenant, nil)
+	err = s.jobs.Add(job, func() error {
+		// Journal before enqueue: a crash between the two replays the
+		// job on restart (at-least-once), never loses an accepted one.
 		if s.journal != nil {
-			s.journal.finish(job.id, JobFailed)
+			if err := s.journal.submit(job.id, spec, tenant, 0); err != nil {
+				return fmt.Errorf("service: journal: %w", err)
+			}
 		}
-		return nil, ErrQueueFull
+		if err := s.enqueue(job); err != nil {
+			if s.journal != nil {
+				s.journal.finish(job.id, JobFailed)
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.jobs[job.id] = job
-	s.order = append(s.order, job)
-	s.metrics.JobState(string(JobQueued))
 	s.metrics.TenantJob(tenant)
 	return job, nil
-}
-
-// Get returns a job by id.
-func (s *Server) Get(id string) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return job, nil
-}
-
-// List snapshots all jobs in submission order.
-func (s *Server) List() []JobView {
-	s.mu.Lock()
-	jobs := append([]*Job(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]JobView, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.view(false)
-	}
-	return out
-}
-
-// Cancel requests cancellation of a job. A queued job transitions to
-// cancelled immediately; a running job's context is cancelled and the
-// simulator aborts within a few thousand simulated cycles. Cancelling a
-// terminal job is a no-op.
-func (s *Server) Cancel(id string) (*Job, error) {
-	job, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	job.mu.Lock()
-	job.cancelled = true
-	state := job.state
-	cancel := job.cancel
-	job.mu.Unlock()
-
-	switch state {
-	case JobQueued:
-		s.finishJob(job, JobCancelled, nil, "cancelled before execution")
-	case JobRunning:
-		if cancel != nil {
-			cancel()
-		}
-	}
-	return job, nil
-}
-
-// finishJob moves a job to a terminal state (once) and keeps the metrics
-// in step.
-func (s *Server) finishJob(job *Job, state JobState, result json.RawMessage, errMsg string) {
-	job.mu.Lock()
-	if job.state.Terminal() {
-		job.mu.Unlock()
-		return
-	}
-	job.mu.Unlock()
-	job.finish(state, result, errMsg, time.Now())
-	s.metrics.JobState(string(state))
-	if s.journal != nil {
-		s.journal.finish(job.id, state)
-	}
 }
 
 // worker drains the queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for job := range s.queue {
-		s.runJob(job)
+		timeout := s.opts.DefaultTimeout
+		if job.spec.TimeoutMS > 0 {
+			timeout = time.Duration(job.spec.TimeoutMS) * time.Millisecond
+		}
+		s.jobs.Run(s.baseCtx, job, timeout, s.executeSafe)
 	}
-}
-
-// runJob executes one job end to end.
-func (s *Server) runJob(job *Job) {
-	job.mu.Lock()
-	if job.state.Terminal() { // cancelled while queued
-		job.mu.Unlock()
-		return
-	}
-	job.state = JobRunning
-	job.started = time.Now()
-	queueWait := job.started.Sub(job.created)
-	timeout := s.opts.DefaultTimeout
-	if job.spec.TimeoutMS > 0 {
-		timeout = time.Duration(job.spec.TimeoutMS) * time.Millisecond
-	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(s.baseCtx)
-	}
-	// Intra-job cell parallelism: the width rides the context into
-	// runSweep and into the experiment drivers' internal fan-outs; the
-	// shared limiter keeps the total across all concurrent jobs bounded.
-	ctx = parexec.WithLimit(ctx, s.opts.SweepParallelism)
-	if s.sweepLim != nil {
-		ctx = parexec.WithLimiter(ctx, s.sweepLim)
-	}
-	job.cancel = cancel
-	alreadyCancelled := job.cancelled
-	job.notifyLocked()
-	job.mu.Unlock()
-	defer cancel()
-
-	s.metrics.JobState(string(JobRunning))
-	s.metrics.Observe("queue", queueWait.Seconds())
-	if alreadyCancelled {
-		cancel()
-	}
-
-	payload, err := s.executeSafe(ctx, job)
-	runDur := time.Since(job.started)
-	s.metrics.Observe("run", runDur.Seconds())
-
-	switch {
-	case err == nil:
-		s.finishJob(job, JobDone, payload, "")
-	case isCancellation(err) && jobWasCancelled(job):
-		s.finishJob(job, JobCancelled, nil, "cancelled")
-	case errors.Is(err, context.DeadlineExceeded):
-		s.finishJob(job, JobFailed, nil, fmt.Sprintf("deadline exceeded after %s", runDur.Round(time.Millisecond)))
-	case isCancellation(err):
-		// Shutdown cancelled the base context.
-		s.finishJob(job, JobCancelled, nil, "cancelled by shutdown")
-	case isBudgetExceeded(err):
-		s.finishJob(job, JobBudgetExceeded, nil, err.Error())
-	default:
-		s.finishJob(job, JobFailed, nil, err.Error())
-	}
-}
-
-// isBudgetExceeded reports whether err is the simulator's typed
-// cycle-budget overrun — a property of the submitted work, not a
-// service fault, so it gets its own terminal state.
-func isBudgetExceeded(err error) bool {
-	var be *sim.BudgetError
-	return errors.As(err, &be)
 }
 
 // executeSafe runs execute behind a recover barrier: a panic anywhere
@@ -492,6 +351,7 @@ func isBudgetExceeded(err error) bool {
 // pcserved_panics_total, instead of taking the daemon (and every other
 // tenant's jobs) down with it.
 func (s *Server) executeSafe(ctx context.Context, job *Job) (payload json.RawMessage, err error) {
+	s.metrics.Observe("queue", job.started.Sub(job.created).Seconds())
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.Panic()
@@ -499,21 +359,19 @@ func (s *Server) executeSafe(ctx context.Context, job *Job) (payload json.RawMes
 			err = fmt.Errorf("internal error: panic during execution: %v", r)
 			payload = nil
 		}
+		s.metrics.Observe("run", time.Since(job.started).Seconds())
 	}()
+	// Intra-job cell parallelism: the width rides the context into
+	// runSweep and into the experiment drivers' internal fan-outs; the
+	// shared limiter keeps the total across all concurrent jobs bounded.
+	ctx = parexec.WithLimit(ctx, s.opts.SweepParallelism)
+	if s.sweepLim != nil {
+		ctx = parexec.WithLimiter(ctx, s.sweepLim)
+	}
 	if s.opts.ExecHook != nil {
 		s.opts.ExecHook(job)
 	}
 	return s.execute(ctx, job)
-}
-
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func jobWasCancelled(job *Job) bool {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	return job.cancelled
 }
 
 // execute produces the job's result payload, consulting the cache first.
@@ -534,11 +392,8 @@ func (s *Server) execute(ctx context.Context, job *Job) (json.RawMessage, error)
 // markHit flags the job as cache-served and attributes the hit to its
 // tenant.
 func (s *Server) markHit(job *Job) {
-	job.mu.Lock()
-	job.hit = true
-	tenant := job.tenant
-	job.mu.Unlock()
-	s.metrics.TenantHit(tenant)
+	job.SetHit(true)
+	s.metrics.TenantHit(job.tenant)
 }
 
 // experimentResult is the payload of an experiment job.
@@ -668,9 +523,7 @@ type sweepResult struct {
 func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error) {
 	sw := job.spec.Sweep
 	cells := sw.Cells()
-	job.mu.Lock()
-	job.total = len(cells)
-	job.mu.Unlock()
+	job.SetTotal(len(cells))
 
 	jobKey, err := sweepKey(sw, job.spec.Options)
 	if err != nil {
@@ -681,7 +534,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error
 		var res sweepResult
 		if err := json.Unmarshal(payload, &res); err == nil {
 			for _, cell := range res.Cells {
-				job.appendCell(cell)
+				job.AppendCell(cell)
 			}
 		}
 		s.markHit(job)
@@ -689,8 +542,8 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error
 	}
 
 	// Cells execute in parallel (width and shared limiter from ctx, set
-	// in runJob), but results are merged in grid order: cache fills,
-	// res.Cells, and the NDJSON stream (job.appendCell) all happen in the
+	// in executeSafe), but results are merged in grid order: cache fills,
+	// res.Cells, and the NDJSON stream (job.AppendCell) all happen in the
 	// emit stage, which parexec.Stream runs strictly in submission order.
 	// The payload and the streamed bytes are therefore identical to the
 	// sequential loop's, and a mid-sweep cancellation still streams a
@@ -725,7 +578,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error
 				s.cache.Put(out.key, out.payload)
 			}
 			res.Cells = append(res.Cells, out.payload)
-			job.appendCell(out.payload)
+			job.AppendCell(out.payload)
 			return nil
 		})
 	if err != nil {
@@ -749,16 +602,8 @@ func MergeSweepPayload(sw *SweepSpec, cells []json.RawMessage) (json.RawMessage,
 
 // gauges samples the live state for /metrics.
 func (s *Server) gauges() Gauges {
-	s.mu.Lock()
-	byState := map[string]int{}
-	for _, j := range s.order {
-		j.mu.Lock()
-		byState[string(j.state)]++
-		j.mu.Unlock()
-	}
-	accepting := s.accepting
+	byState, accepting := s.jobs.Count()
 	depth := len(s.queue)
-	s.mu.Unlock()
 	hits, misses := s.cache.Stats()
 	return Gauges{
 		QueueDepth:     depth,

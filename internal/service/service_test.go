@@ -226,7 +226,7 @@ func TestCancelQueued(t *testing.T) {
 	if view.State != JobCancelled {
 		t.Fatalf("queued job after DELETE: %s, want cancelled immediately", view.State)
 	}
-	if _, err := srv.Cancel(blocker.ID); err != nil {
+	if _, err := srv.jobs.Cancel(blocker.ID); err != nil {
 		t.Fatalf("cancelling blocker: %v", err)
 	}
 	waitJob(t, ts, blocker.ID)
@@ -256,11 +256,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 
 	for _, id := range ids {
-		job, err := srv.Get(id)
+		job, err := srv.jobs.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := job.view(false); v.State != JobDone {
+		if v := job.View(false); v.State != JobDone {
 			t.Errorf("job %s after drain: %s (%s), want done", id, v.State, v.Error)
 		}
 	}
@@ -383,8 +383,8 @@ func TestQueueFull(t *testing.T) {
 	}
 	deadline := time.Now().Add(time.Minute)
 	for {
-		if v, _ := srv.Get(ids[0]); func() bool {
-			view := v.view(false)
+		if v, _ := srv.jobs.Get(ids[0]); func() bool {
+			view := v.View(false)
 			return view.State == JobRunning
 		}() {
 			break
@@ -398,7 +398,7 @@ func TestQueueFull(t *testing.T) {
 	apiJSON(t, "POST", ts.URL+"/v1/jobs", body, http.StatusServiceUnavailable, nil)
 
 	for _, id := range ids {
-		if _, err := srv.Cancel(id); err != nil {
+		if _, err := srv.jobs.Cancel(id); err != nil {
 			t.Fatal(err)
 		}
 	}
