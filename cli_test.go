@@ -69,6 +69,16 @@ func TestCLIPipeline(t *testing.T) {
 			t.Errorf("pcsim output missing %q:\n%s", want, text)
 		}
 	}
+	// Both views carry data rows, not just headers: observers compose, so
+	// neither view's observer replaces the other's.
+	for header, row := range map[string]string{
+		"unit-to-thread interleaving": "\n      1 ",
+		"utilization timeline":        "\n         1 ",
+	} {
+		if _, view, _ := strings.Cut(text, header); !strings.Contains(view, row) {
+			t.Errorf("pcsim %q view has no row for cycle 1:\n%s", header, text)
+		}
+	}
 
 	// A custom machine config must be honored end to end.
 	cmd = exec.Command(filepath.Join(bin, "pcsim"), "-machine", "configs/baseline-triport.json", asmPath)

@@ -21,9 +21,9 @@ const CheckpointVersion = 1
 // Checkpoint is the complete simulator state at a cycle boundary. A run
 // restored from a checkpoint is byte-identical (cycle counts and every
 // statistic) to the uninterrupted run, provided the same machine
-// configuration and program are supplied; Restore verifies both. Trace
-// writers (WithTrace, the JSON tracer) are not part of the state: a
-// resumed run re-emits events only from the resume point.
+// configuration and program are supplied; Restore verifies both.
+// Observers (WithObserver) are not part of the state: a resumed run
+// re-emits events only from the resume point.
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Machine string `json:"machine"` // machine.Config.Hash()

@@ -253,30 +253,10 @@ func (s *Sim) issueDynOp(t *Thread, k int, e *dynsched.Entry, slot int, op *isa.
 	u := s.units[slot]
 	d := t.dyn
 	e.Issued[slot] = true
-	t.OpsIssued++
-	t.lastIssue = s.cycle
-	s.stats.Ops++
-	s.stats.IssuedByKind[u.Kind]++
-	s.stats.IssuedByUnit[slot]++
 	if k > 0 {
 		s.dyn.stats.WindowIssued++
 	}
-	s.progress()
-
-	vals := s.valScratch[:0]
-	for _, src := range op.Srcs {
-		vals = append(vals, t.Regs.OperandValue(src))
-	}
-	s.valScratch = vals[:0]
-	if s.trace != nil {
-		fmt.Fprintf(s.trace, "[%6d] t%d u%d issue %s (win+%d)\n", s.cycle, t.ID, slot, op, k)
-	}
-	if s.issueHook != nil {
-		s.issueHook(s.cycle, slot, t.ID, op)
-	}
-	if s.jsonTrace != nil {
-		s.jsonTrace.issue(s.cycle, slot, t.ID, op, u)
-	}
+	vals := s.commitIssue(t, slot, k, op)
 
 	switch op.Code {
 	case isa.OpLoad, isa.OpStore:

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"testing"
 
 	"pcoup/internal/faults"
@@ -238,21 +239,26 @@ func TestEventCoreMatchesTickingWithFaults(t *testing.T) {
 	t.Logf("event core skipped %d of %d cycles under mem faults", event.SkippedCycles(), got.Cycles)
 }
 
-// TestEventCoreDisabledByObservers pins the disabled-by-construction
-// rule: per-cycle observers and per-cycle fault draws force the ticking
-// kernel.
+// TestEventCoreDisabledByObservers pins which installations decide the
+// kernel: observers never disable the event core, per-cycle fault draws
+// force the ticking kernel.
 func TestEventCoreDisabledByObservers(t *testing.T) {
-	// Issue hooks (the InterleaveRecorder installs one) see every cycle.
-	hooked, err := New(slowMachine(5000), loadChain(),
-		WithIssueHook(func(int64, int, int, *isa.Op) {}))
+	// Observers see only working cycles and k-fold Stall events, so
+	// installing every one of them keeps the event core skipping.
+	cfg := slowMachine(5000)
+	observed, err := New(cfg, loadChain(),
+		WithObserver(NewTextTrace(io.Discard)),
+		WithObserver(NewInterleaveRecorder(cfg, 0)),
+		WithObserver(NewTimeline(cfg, 100)),
+		WithObserver(NewJSONTracer(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hooked.Run(50_000); err != nil {
+	if _, err := observed.Run(50_000); err != nil {
 		t.Fatal(err)
 	}
-	if hooked.SkippedCycles() != 0 {
-		t.Errorf("skipped %d cycles with an issue hook installed, want 0", hooked.SkippedCycles())
+	if observed.SkippedCycles() == 0 {
+		t.Error("skipped no cycles with observers installed, want the event core to stay on")
 	}
 	// Unit outages draw RNG per slot per cycle.
 	s, err := New(faultyMachine(), pingPong(5), WithWatchdog(8, 1<<20))

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"pcoup/internal/isa"
 	"pcoup/internal/machine"
@@ -11,21 +12,19 @@ import (
 // InterleaveRecorder captures the per-cycle mapping of function units to
 // threads — the view of the paper's Figures 1 and 2, where several
 // threads' statically scheduled instruction streams interleave over the
-// shared units at runtime. Installing its hook forces the ticking kernel
-// (skipAllowed): the recorder is a per-cycle observer.
+// shared units at runtime. Install it with WithObserver; it consumes
+// only Issue events, so the event core keeps skipping idle cycles.
 type InterleaveRecorder struct {
+	nopObserver
 	cfg      *machine.Config
 	maxCycle int64
 	stride   int
 	// grid holds one row per recorded cycle, flattened: the row for
 	// cycle c (cycles are 1-based; step increments before issue) is
 	// grid[(c-1)*stride : c*stride], each cell thread id + 1 (0 = idle).
-	// A flat slice replaces the old map[int64][]int, which allocated a
-	// fresh row per cycle and hashed on every probe.
+	// It ends at the highest cycle with an issue, which the guard in
+	// Issue keeps <= maxCycle when a cap is set.
 	grid []int
-	// recorded is the highest cycle with a recorded row; the guard in
-	// Hook keeps it <= maxCycle when a cap is set.
-	recorded int64
 }
 
 // NewInterleaveRecorder records the first maxCycle cycles — exactly
@@ -36,34 +35,23 @@ func NewInterleaveRecorder(cfg *machine.Config, maxCycle int64) *InterleaveRecor
 }
 
 // RecordedCycles returns how many cycles have recorded rows (trailing
-// all-idle cycles never reach the hook and are not counted).
-func (ir *InterleaveRecorder) RecordedCycles() int64 { return ir.recorded }
+// all-idle cycles issue nothing and are not counted).
+func (ir *InterleaveRecorder) RecordedCycles() int64 { return int64(len(ir.grid) / ir.stride) }
 
-// Hook returns the issue hook to install with WithIssueHook.
-func (ir *InterleaveRecorder) Hook() Option {
-	return WithIssueHook(func(cycle int64, unit, thread int, _ *isa.Op) {
-		if cycle < 1 || (ir.maxCycle > 0 && cycle > ir.maxCycle) {
-			return
-		}
-		if need := int(cycle) * ir.stride; len(ir.grid) < need {
-			if cap(ir.grid) < need {
-				grown := make([]int, need, need*2)
-				copy(grown, ir.grid)
-				ir.grid = grown
-			} else {
-				ir.grid = ir.grid[:need]
-			}
-		}
-		if cycle > ir.recorded {
-			ir.recorded = cycle
-		}
-		ir.grid[(int(cycle)-1)*ir.stride+unit] = thread + 1
-	})
+// Issue records the thread granted unit at cycle.
+func (ir *InterleaveRecorder) Issue(cycle int64, unit, thread, _ int, _ *isa.Op) {
+	if cycle < 1 || (ir.maxCycle > 0 && cycle > ir.maxCycle) {
+		return
+	}
+	if need := int(cycle) * ir.stride; len(ir.grid) < need {
+		ir.grid = slices.Grow(ir.grid, need-len(ir.grid))[:need]
+	}
+	ir.grid[(int(cycle)-1)*ir.stride+unit] = thread + 1
 }
 
 // row returns the recorded row for a cycle, or nil.
 func (ir *InterleaveRecorder) row(cycle int64) []int {
-	if cycle < 1 || cycle > ir.recorded {
+	if cycle < 1 || cycle > ir.RecordedCycles() {
 		return nil
 	}
 	return ir.grid[(int(cycle)-1)*ir.stride : int(cycle)*ir.stride]
@@ -81,7 +69,7 @@ func (ir *InterleaveRecorder) Write(w io.Writer) {
 		counts[u.Kind]++
 	}
 	fmt.Fprintln(w)
-	for c := int64(1); c <= ir.recorded; c++ {
+	for c := int64(1); c <= ir.RecordedCycles(); c++ {
 		fmt.Fprintf(w, "%7d", c)
 		row := ir.row(c)
 		for u := range units {

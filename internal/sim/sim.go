@@ -10,7 +10,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 
 	"pcoup/internal/faults"
@@ -168,8 +167,9 @@ type Sim struct {
 	// pendingSpawns created this cycle become active next cycle.
 	pendingSpawns []*Thread
 
-	trace     io.Writer
-	issueHook func(cycle int64, unit int, thread int, op *isa.Op)
+	// obs are the installed observers (WithObserver); empty by default,
+	// so each event site pays one length check.
+	obs []Observer
 
 	// ctx, when set, is polled by the cycle loop so long simulations can
 	// be cancelled or deadlined from outside (the service layer's per-job
@@ -183,8 +183,6 @@ type Sim struct {
 	// attrib accumulates per-cycle stall attribution; nil unless
 	// enabled, so the default path pays only a nil check per cycle.
 	attrib *stallAttrib
-	// jsonTrace receives structured trace events; nil unless enabled.
-	jsonTrace *JSONTracer
 
 	// inj injects deterministic faults; nil unless the machine's fault
 	// model is enabled.
@@ -207,17 +205,6 @@ type Sim struct {
 
 // Option configures a Sim.
 type Option func(*Sim)
-
-// WithTrace enables a per-event text trace written to w (debugging aid).
-func WithTrace(w io.Writer) Option { return func(s *Sim) { s.trace = w } }
-
-// WithIssueHook installs a callback invoked on every operation issue,
-// with the cycle, global unit slot, issuing thread id, and the operation.
-// Used by visualizations of the unit-to-thread interleaving (the paper's
-// Figures 1 and 2).
-func WithIssueHook(f func(cycle int64, unit int, thread int, op *isa.Op)) Option {
-	return func(s *Sim) { s.issueHook = f }
-}
 
 // WithContext attaches a context to the simulation. Run polls it
 // periodically (every cancelCheckMask+1 cycles, so the hot loop pays no
@@ -381,8 +368,8 @@ func (s *Sim) spawn(segIdx int) *Thread {
 	if s.attrib != nil {
 		t.stalls = new(StallBreakdown)
 	}
-	if s.jsonTrace != nil {
-		s.jsonTrace.thread(t.ID, s.prog.Segments[segIdx].Name)
+	for _, o := range s.obs {
+		o.Spawn(t.ID, t.Seg.Name)
 	}
 	t.branchTarget = -1
 	if !t.advanceFromStart() {
@@ -651,7 +638,7 @@ func (s *Sim) step() {
 	// 4. Stall attribution: classify what every active thread did (or
 	// why it could not issue) this cycle, before frontiers move.
 	if s.attrib != nil {
-		s.classifyCycle()
+		s.creditCycles(s.cycle, 1)
 	}
 
 	// 5. Advance instruction frontiers. Window threads retire/extend in
@@ -806,8 +793,8 @@ func (s *Sim) drainWritebacks() bool {
 		if s.arb.TryGrant(interconnect.Request{SrcCluster: wb.srcCluster, DstCluster: wb.dst.Cluster}) {
 			wb.thread.Regs.Write(wb.dst, wb.val)
 			wb.thread.stalled = false
-			if s.trace != nil {
-				fmt.Fprintf(s.trace, "[%6d] t%d wb %s = %s\n", s.cycle, wb.thread.ID, wb.dst, wb.val)
+			for _, o := range s.obs {
+				o.Writeback(s.cycle, wb.thread.ID, wb.dst, wb.val)
 			}
 			s.progress()
 		} else {
@@ -990,6 +977,28 @@ func (s *Sim) issueLockStep() {
 	}
 }
 
+// commitIssue is the part of every issue shared by issueOp and
+// issueDynOp: it counts the operation, reports it to the observers (win
+// is its dynamic-window offset, or -1), and returns its operand values
+// (scratch owned by the Sim, valid until the next issue).
+func (s *Sim) commitIssue(t *Thread, slot, win int, op *isa.Op) []isa.Value {
+	t.OpsIssued++
+	t.lastIssue = s.cycle
+	s.stats.Ops++
+	s.stats.IssuedByKind[s.units[slot].Kind]++
+	s.stats.IssuedByUnit[slot]++
+	s.progress()
+	for _, o := range s.obs {
+		o.Issue(s.cycle, slot, t.ID, win, op)
+	}
+	vals := s.valScratch[:0]
+	for _, src := range op.Srcs {
+		vals = append(vals, t.Regs.OperandValue(src))
+	}
+	s.valScratch = vals[:0]
+	return vals
+}
+
 // issueOp commits the issue of op on unit slot for thread t: operands are
 // read, destination presence bits cleared, and the operation enters its
 // unit's pipeline (or the memory system, or takes control effect).
@@ -999,29 +1008,9 @@ func (s *Sim) issueOp(t *Thread, slot int, op *isa.Op) {
 		t.issued = append(t.issued, false)
 	}
 	t.issued[slot] = true
-	t.OpsIssued++
-	t.lastIssue = s.cycle
-	s.stats.Ops++
-	s.stats.IssuedByKind[u.Kind]++
-	s.stats.IssuedByUnit[slot]++
-	s.progress()
-
-	vals := s.valScratch[:0]
-	for _, src := range op.Srcs {
-		vals = append(vals, t.Regs.OperandValue(src))
-	}
-	s.valScratch = vals[:0]
+	vals := s.commitIssue(t, slot, -1, op)
 	for _, d := range op.Dests {
 		t.Regs.ClearValid(d)
-	}
-	if s.trace != nil {
-		fmt.Fprintf(s.trace, "[%6d] t%d u%d issue %s\n", s.cycle, t.ID, slot, op)
-	}
-	if s.issueHook != nil {
-		s.issueHook(s.cycle, slot, t.ID, op)
-	}
-	if s.jsonTrace != nil {
-		s.jsonTrace.issue(s.cycle, slot, t.ID, op, u)
 	}
 
 	switch op.Code {
@@ -1119,7 +1108,7 @@ func (s *Sim) finalize() {
 		}
 		s.stats.Stalls = st
 	}
-	if s.jsonTrace != nil {
-		s.jsonTrace.finish(s.cycle)
+	for _, o := range s.obs {
+		o.Finish(s.cycle)
 	}
 }

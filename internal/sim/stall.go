@@ -175,33 +175,29 @@ func (s *Sim) ensureAttrib() {
 	}
 }
 
-// classifyCycle records one classification for every thread active this
-// cycle. Called at the end of step, after issue and frontier advance, so
-// a thread that issued its halt this cycle still counts as issued.
-func (s *Sim) classifyCycle() {
+// creditCycles classifies every thread active at the current cycle and
+// credits it to the k cycles starting at from, for step's own cycle (a
+// thread that issued its halt still counts as issued) or a jumped range
+// (see eventcore.go), and reports it to the observers.
+func (s *Sim) creditCycles(from, k int64) {
 	for _, t := range s.threads {
 		if t.Halted && !(t.HaltAt == s.cycle && t.lastIssue == s.cycle) {
 			continue
 		}
-		s.attrib.slots++
-		var cause StallCause
-		var slot int
-		var reg isa.RegRef
-		var hasReg bool
-		if t.lastIssue == s.cycle {
-			cause, slot = CauseIssued, -1
-		} else {
+		cause, slot, reg, hasReg := CauseIssued, -1, isa.RegRef{}, false
+		if t.lastIssue != s.cycle {
 			cause, slot, reg, hasReg = s.classify(t)
 		}
-		t.stalls[cause]++
+		s.attrib.slots += k
+		t.stalls[cause] += k
 		if slot >= 0 {
-			s.attrib.perUnit[slot][cause]++
+			s.attrib.perUnit[slot][cause] += k
 		}
 		if hasReg {
-			s.attrib.waitRegs[reg.String()]++
+			s.attrib.waitRegs[reg.String()] += k
 		}
-		if s.jsonTrace != nil {
-			s.jsonTrace.classify(s.cycle, t.ID, cause)
+		for _, o := range s.obs {
+			o.Stall(from, t.ID, cause, k)
 		}
 	}
 }

@@ -43,53 +43,46 @@ type stallSpan struct {
 // trace-event format: one track per function unit (each issued operation
 // is a span of the unit's pipeline occupancy) and one track per thread
 // (contiguous spans of the thread's per-cycle stall classification).
-// Install it with WithJSONTrace — which also enables stall attribution —
+// Install it with WithObserver — which also enables stall attribution —
 // and call Write after the run.
 type JSONTracer struct {
+	nopObserver
+	units  []machine.UnitRef
 	events []traceEvent
-	open   map[int]*stallSpan
-	end    int64
+	// open holds each thread's current span, indexed by thread id.
+	open []*stallSpan
 }
 
 // NewJSONTracer prepares a tracer for a machine configuration (the
 // configuration provides the unit-track names).
 func NewJSONTracer(cfg *machine.Config) *JSONTracer {
-	tr := &JSONTracer{open: map[int]*stallSpan{}}
+	tr := &JSONTracer{units: cfg.Units()}
 	tr.meta("process_name", tracePidUnits, 0, map[string]any{"name": "function units"})
 	tr.meta("process_name", tracePidThreads, 0, map[string]any{"name": "threads"})
-	for _, u := range cfg.Units() {
+	for _, u := range tr.units {
 		tr.meta("thread_name", tracePidUnits, u.Global,
 			map[string]any{"name": fmt.Sprintf("u%d %s (cluster %d)", u.Global, u.Kind, u.Cluster)})
 	}
 	return tr
 }
 
-// WithJSONTrace installs tr on the simulation and enables the stall
-// attribution that feeds its per-thread tracks.
-func WithJSONTrace(tr *JSONTracer) Option {
-	return func(s *Sim) {
-		s.jsonTrace = tr
-		s.ensureAttrib()
-	}
-}
-
 func (tr *JSONTracer) meta(name string, pid, tid int, args map[string]any) {
 	tr.events = append(tr.events, traceEvent{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: args})
 }
 
-// thread names a thread's track as the thread spawns.
-func (tr *JSONTracer) thread(id int, segment string) {
+// Spawn names a thread's track as the thread spawns.
+func (tr *JSONTracer) Spawn(id int, segment string) {
 	tr.meta("thread_name", tracePidThreads, id,
 		map[string]any{"name": fmt.Sprintf("t%d %s", id, segment)})
 }
 
-// issue records one operation issue on its unit's track. Compute
+// Issue records one operation issue on its unit's track. Compute
 // operations span their unit's pipeline latency; memory, branch, and
 // thread operations span their single issue cycle.
-func (tr *JSONTracer) issue(cycle int64, slot, thread int, op *isa.Op, u machine.UnitRef) {
+func (tr *JSONTracer) Issue(cycle int64, slot, thread, _ int, op *isa.Op) {
 	dur := int64(1)
 	if op.Code.Pure() {
-		dur = int64(u.Latency)
+		dur = int64(tr.units[slot].Latency)
 	}
 	tr.events = append(tr.events, traceEvent{
 		Name: op.Code.String(), Ph: "X", Ts: cycle, Dur: dur,
@@ -98,17 +91,21 @@ func (tr *JSONTracer) issue(cycle int64, slot, thread int, op *isa.Op, u machine
 	})
 }
 
-// classify extends or rolls the thread's current classification span.
-func (tr *JSONTracer) classify(cycle int64, thread int, cause StallCause) {
+// Stall extends the thread's current classification span over the k
+// cycles starting at cycle, or closes it and opens a new one.
+func (tr *JSONTracer) Stall(cycle int64, thread int, cause StallCause, k int64) {
+	for len(tr.open) <= thread {
+		tr.open = append(tr.open, nil)
+	}
 	sp := tr.open[thread]
 	if sp != nil && sp.cause == cause && sp.last == cycle-1 {
-		sp.last = cycle
+		sp.last = cycle + k - 1
 		return
 	}
 	if sp != nil {
 		tr.closeSpan(thread, sp)
 	}
-	tr.open[thread] = &stallSpan{cause: cause, start: cycle, last: cycle}
+	tr.open[thread] = &stallSpan{cause: cause, start: cycle, last: cycle + k - 1}
 }
 
 func (tr *JSONTracer) closeSpan(thread int, sp *stallSpan) {
@@ -118,26 +115,34 @@ func (tr *JSONTracer) closeSpan(thread int, sp *stallSpan) {
 	})
 }
 
-// finish flushes open spans at the end of the run.
-func (tr *JSONTracer) finish(finalCycle int64) {
-	tr.end = finalCycle
+// Finish flushes the open spans at the end of the run, in thread order.
+func (tr *JSONTracer) Finish(int64) {
 	for id, sp := range tr.open {
-		tr.closeSpan(id, sp)
-		delete(tr.open, id)
+		if sp != nil {
+			tr.closeSpan(id, sp)
+		}
 	}
+	tr.open = nil
 }
 
 // Write emits the collected trace as a JSON object with a
-// "traceEvents" array, sorted by timestamp (metadata first), ready for
-// chrome://tracing or Perfetto.
+// "traceEvents" array, ready for chrome://tracing or Perfetto: metadata
+// first in recording order, then spans sorted by (timestamp, pid, tid).
+// Each track holds at most one span per timestamp, so the order is total.
 func (tr *JSONTracer) Write(w io.Writer) error {
 	events := append([]traceEvent(nil), tr.events...)
 	sort.SliceStable(events, func(i, j int) bool {
-		mi, mj := events[i].Ph == "M", events[j].Ph == "M"
-		if mi != mj {
-			return mi
+		a, b := &events[i], &events[j]
+		if ma, mb := a.Ph == "M", b.Ph == "M"; ma || mb {
+			return ma && !mb
 		}
-		return events[i].Ts < events[j].Ts
+		if a.Ts != b.Ts {
+			return a.Ts < b.Ts
+		}
+		if a.Pid != b.Pid {
+			return a.Pid < b.Pid
+		}
+		return a.Tid < b.Tid
 	})
 	doc := struct {
 		TraceEvents     []traceEvent `json:"traceEvents"`

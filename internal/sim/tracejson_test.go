@@ -26,7 +26,7 @@ func runTraced(t *testing.T) traceDoc {
 		word(opHalt()),
 	}}
 	tr := NewJSONTracer(cfg)
-	s, err := New(cfg, prog(main), WithJSONTrace(tr))
+	s, err := New(cfg, prog(main), WithObserver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
