@@ -2,12 +2,12 @@
 // fleet of pcserved backends behind the same HTTP job API and job
 // registry (pcq works unchanged), routing each sweep cell to its
 // content-key owner on a consistent-hash ring so every backend's result
-// cache stays hot for a disjoint shard of the key space. Failed backends
-// are ejected and their cells fail over; stragglers past a latency
-// quantile get one hedged duplicate. Dispatch is weighted deficit
-// round-robin per tenant under strict interactive-before-batch
-// priority; idle backends steal queued cells from saturated ones, and
-// warm peer caches are probed before computing. With -tenants,
+// cache stays hot for a disjoint shard of the key space. Dispatch is
+// weighted deficit round-robin per tenant under strict
+// interactive-before-batch priority; idle backends steal queued cells
+// from saturated ones, and warm peer caches are probed before
+// computing. Failed backends are ejected and their cells fail over to
+// the next ring node. With -tenants,
 // submitters authenticate by API key, and per-tenant quotas return
 // 429 + Retry-After; without it every submitter is one unlimited
 // default tenant. See docs/ARCHITECTURE.md (fleet layer).
@@ -43,16 +43,11 @@ func main() {
 	replicas := flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0: 128)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "health probe cadence per backend")
 	ejectAfter := flag.Int("eject-after", 2, "consecutive probe failures before a backend is ejected")
-	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load factor c: spill past an owner above ceil(c*(inflight+1)/healthy)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON array of specs); empty: open access, no auth")
 	backendConcurrency := flag.Int("backend-concurrency", 0, "dispatch workers per backend (0: 8)")
-	stealChunk := flag.Int("steal-chunk", 0, "max cells stolen per steal from another backend's queue tail (0: 8)")
-	peerFill := flag.Bool("peer-fill", true, "probe the cache owner before computing a cell elsewhere")
 	highWatermark := flag.Int("high-watermark", 0, "total queued cells past which batch submissions shed (0: 4096, negative: disabled)")
 	retryBudget := flag.Int("retry-budget", 3, "attempts per cell across backends before the job fails")
 	retryBackoff := flag.Duration("retry-backoff", 200*time.Millisecond, "base backoff between failover attempts of one cell (doubles per attempt)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.9, "completed-cell latency quantile past which a straggler is hedged (>=1 disables)")
-	hedgeMinSamples := flag.Int("hedge-min-samples", 8, "completed cells observed before hedging arms")
 	presetNames := flag.String("preset-names", "", "comma-separated preset names the backends serve besides baseline")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs before cancelling them")
 	flag.Parse()
@@ -77,17 +72,12 @@ func main() {
 			Replicas:      *replicas,
 			ProbeInterval: *probeInterval,
 			EjectAfter:    *ejectAfter,
-			LoadFactor:    *loadFactor,
 		},
 		Tenants:            tenants,
 		BackendConcurrency: *backendConcurrency,
-		StealChunk:         *stealChunk,
-		NoPeerFill:         !*peerFill,
 		HighWatermark:      *highWatermark,
 		RetryBudget:        *retryBudget,
 		RetryBackoff:       *retryBackoff,
-		HedgeQuantile:      *hedgeQuantile,
-		HedgeMinSamples:    *hedgeMinSamples,
 		PresetNames:        splitList(*presetNames),
 	})
 	if err != nil {

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 
 	"pcoup/internal/machine"
@@ -163,8 +161,7 @@ func (g *Gateway) worker(b *Backend) {
 }
 
 // dispatchTask executes one queued task from backend b's worker:
-// peer-fill cache probes first, then the hedged, failing-over dispatch
-// loop.
+// peer-fill cache probes first, then the failing-over dispatch loop.
 func (g *Gateway) dispatchTask(t *task, b *Backend) (json.RawMessage, bool, error) {
 	if payload, ok := g.peerFill(t, b); ok {
 		return payload, true, nil
@@ -175,14 +172,15 @@ func (g *Gateway) dispatchTask(t *task, b *Backend) (json.RawMessage, bool, erro
 // peerFill tries to serve a content-keyed task straight from a backend
 // cache before computing anything. For a task served by its own queue,
 // that is the owner's cache (the affinity payoff) and then the next
-// ring node's — where bounded-load spill, failover, and hedging would
-// have left a copy. For a stolen task, it is the thief's own cache
-// (spills and past steals leave copies off-owner) and then the original
-// owner's, so rebalancing warm work does not recompute it. Results are
+// ring node's: the failover target, and with two backends the only
+// possible thief. For a stolen task, it is the thief's own cache (past
+// steals leave copies off-owner) and then the original owner's. A
+// stolen cell is cached only on its thief, so without these probes a
+// resubmission of it is a recompute, not a cache hit. Results are
 // content-addressed and deterministic, so the probed bytes are
 // identical to a recompute.
 func (g *Gateway) peerFill(t *task, b *Backend) (json.RawMessage, bool) {
-	if !t.content || g.opts.NoPeerFill {
+	if !t.content {
 		return nil, false
 	}
 	if b.URL == t.owner {
@@ -190,7 +188,7 @@ func (g *Gateway) peerFill(t *task, b *Backend) (json.RawMessage, bool) {
 			g.metrics.Affinity(true)
 			return payload, true
 		}
-		if peer := g.nextRingPeer(t.key, b.URL); peer != nil {
+		if peer, err := g.pool.pick(t.key, map[string]bool{b.URL: true}); err == nil {
 			if payload, ok := g.cacheProbe(t.ctx, peer, t.key); ok {
 				g.metrics.PeerFillHit()
 				return payload, true
@@ -236,21 +234,6 @@ func (g *Gateway) cacheProbe(ctx context.Context, b *Backend, key string) (json.
 	return json.RawMessage(data), true
 }
 
-// nextRingPeer returns the first healthy backend after owner in the
-// key's ring order (the spill/failover target most likely to hold a
-// stray copy).
-func (g *Gateway) nextRingPeer(key, ownerURL string) *Backend {
-	for _, url := range g.pool.seq(key) {
-		if url == ownerURL {
-			continue
-		}
-		if b := g.pool.get(url); b != nil && b.Healthy() {
-			return b
-		}
-	}
-	return nil
-}
-
 // routeKey maps a non-sweep spec to its routing key: the result's
 // content address when the gateway can compute it (so the job lands
 // where its cache entry lives, reported true), else a hash of the
@@ -289,8 +272,8 @@ func routeKey(spec *service.JobSpec) (string, bool) {
 
 // dispatch runs one task against the fleet: the worker's own backend
 // first (it is the queue owner or the thief — either way the planned
-// placement), then failover with bounded-load re-picks, hedged
-// execution, and backoff across the retry budget.
+// placement), then failover to the next healthy untried ring node, with
+// backoff across the retry budget.
 func (g *Gateway) dispatch(t *task, worker *Backend) (json.RawMessage, bool, error) {
 	ctx := t.ctx
 	exclude := map[string]bool{}
@@ -304,28 +287,22 @@ func (g *Gateway) dispatch(t *task, worker *Backend) (json.RawMessage, bool, err
 				return nil, false, ctx.Err()
 			}
 		}
-		var backend *Backend
-		var spilled bool
-		if attempt == 0 && worker != nil && worker.Healthy() {
-			backend = worker
-		} else {
+		backend := worker
+		if attempt > 0 || worker == nil || !worker.Healthy() {
 			var err error
-			backend, spilled, err = g.pool.pick(t.key, exclude)
+			backend, err = g.pool.pick(t.key, exclude)
 			if errors.Is(err, ErrNoBackends) && len(exclude) > 0 {
 				// Every untried backend is down; widen the net and let the
 				// prober re-admit whatever recovers.
 				exclude = map[string]bool{}
-				backend, spilled, err = g.pool.pick(t.key, exclude)
+				backend, err = g.pool.pick(t.key, exclude)
 			}
 			if err != nil {
 				lastErr = err
 				continue
 			}
 		}
-		if spilled {
-			g.metrics.Spilled()
-		}
-		payload, hit, err := g.hedged(ctx, backend, t)
+		payload, hit, err := g.attempt(ctx, backend, t)
 		switch {
 		case err == nil:
 			g.metrics.Affinity(hit)
@@ -363,112 +340,6 @@ func dispatchBackoff(base time.Duration, attempt int) time.Duration {
 	return d
 }
 
-// attemptResult is one backend attempt's outcome.
-type attemptResult struct {
-	payload json.RawMessage
-	hit     bool
-	err     error
-	hedge   bool // produced by the hedged duplicate
-}
-
-// hedged runs one attempt on the picked backend and, if it straggles
-// past the hedge quantile of recently completed cells, launches one
-// duplicate on the next ring node. The first result wins; the loser's
-// backend job is cancelled (safe: results are deterministic and
-// content-addressed, so both would return identical bytes).
-func (g *Gateway) hedged(ctx context.Context, primary *Backend, t *task) (json.RawMessage, bool, error) {
-	start := time.Now()
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel()
-	results := make(chan attemptResult, 2)
-	go func() {
-		payload, hit, err := g.attempt(actx, primary, t)
-		results <- attemptResult{payload, hit, err, false}
-	}()
-
-	hedgeDelay, ok := g.hedgeDelay()
-	if !ok {
-		res := <-results
-		if res.err == nil {
-			g.sampler.record(time.Since(start))
-		}
-		return res.payload, res.hit, res.err
-	}
-
-	timer := time.NewTimer(hedgeDelay)
-	defer timer.Stop()
-	hcancel := context.CancelFunc(nil)
-	launched := false
-	for {
-		select {
-		case res := <-results:
-			if res.err != nil && launched {
-				// One racer failed; give the other a bounded grace to
-				// succeed. The dispatch client has no timeout, so waiting
-				// unboundedly here would let a hung second backend pin the
-				// cell (and its retry budget) until the whole job dies.
-				grace := time.NewTimer(hedgeDelay)
-				select {
-				case second := <-results:
-					if second.err == nil {
-						res = second
-					}
-				case <-grace.C:
-				case <-ctx.Done():
-				}
-				grace.Stop()
-			}
-			if res.err == nil {
-				g.sampler.record(time.Since(start))
-				if res.hedge {
-					g.metrics.HedgeWon()
-				}
-				// Cancel the loser: its deferred cleanup DELETEs the
-				// backend job it may still be running.
-				acancel()
-				if hcancel != nil {
-					hcancel()
-				}
-			}
-			return res.payload, res.hit, res.err
-		case <-timer.C:
-			if launched {
-				continue
-			}
-			hedgeBackend, _, err := g.pool.pick(t.key, map[string]bool{primary.URL: true})
-			if err != nil {
-				continue // nowhere to hedge; keep waiting on the primary
-			}
-			launched = true
-			g.metrics.HedgeFired()
-			var hctx context.Context
-			hctx, hcancel = context.WithCancel(ctx)
-			defer hcancel()
-			go func() {
-				payload, hit, err := g.attempt(hctx, hedgeBackend, t)
-				results <- attemptResult{payload, hit, err, true}
-			}()
-		}
-	}
-}
-
-// hedgeDelay returns how long to wait before duplicating a straggler:
-// the configured quantile of recent cell latencies, once enough samples
-// exist.
-func (g *Gateway) hedgeDelay() (time.Duration, bool) {
-	if g.opts.HedgeQuantile <= 0 || g.opts.HedgeQuantile >= 1 {
-		return 0, false
-	}
-	d, n := g.sampler.quantile(g.opts.HedgeQuantile)
-	if n < g.opts.HedgeMinSamples {
-		return 0, false
-	}
-	if d < g.opts.HedgeMinDelay {
-		d = g.opts.HedgeMinDelay
-	}
-	return d, true
-}
-
 // attempt submits specJSON to one backend, follows its NDJSON stream to
 // the terminal line, and fetches the final view for cache-hit
 // accounting. On cancellation after submission the backend job is
@@ -492,8 +363,8 @@ func (g *Gateway) attempt(ctx context.Context, b *Backend, t *task) (json.RawMes
 	lines, state, errMsg, err := g.followStream(ctx, b, remoteID)
 	if err != nil {
 		// A dead mid-job stream means the backend is gone — unless we
-		// cancelled the request ourselves (hedge loser, job cancel),
-		// which says nothing about the backend's health.
+		// cancelled the request ourselves (job cancel), which says
+		// nothing about the backend's health.
 		if ctx.Err() == nil {
 			g.pool.markDown(b, err)
 		}
@@ -627,8 +498,8 @@ func (g *Gateway) fetchView(ctx context.Context, b *Backend, id string) (*servic
 	return &view, nil
 }
 
-// cancelRemote best-effort DELETEs a backend job (hedge losers, gateway
-// cancellations).
+// cancelRemote best-effort DELETEs a backend job whose gateway cell
+// was cancelled.
 func (g *Gateway) cancelRemote(b *Backend, id string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -653,75 +524,4 @@ func readError(resp *http.Response) string {
 		return fmt.Sprintf("%s: %s", resp.Status, eb.Error)
 	}
 	return fmt.Sprintf("%s: %s", resp.Status, bytes.TrimSpace(data))
-}
-
-// latencySampler keeps a sliding window of completed-cell latencies for
-// the hedging quantile. quantile is consulted once per dispatched cell,
-// so its result is cached and recomputed at most once every
-// samplerRefresh records — the hedge delay tolerates slightly stale
-// estimates, but not a copy+sort of the whole window per cell.
-type latencySampler struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	next int
-	n    int
-
-	// Quantile cache: valid until samplerRefresh more records arrive or
-	// a different q is requested. scratch is the reusable sort buffer.
-	cacheQ     float64
-	cacheVal   time.Duration
-	cacheValid bool
-	sinceCalc  int
-	scratch    []time.Duration
-}
-
-const (
-	samplerWindow = 256
-	// samplerRefresh bounds cache staleness: at most this many new
-	// samples land between quantile recomputations.
-	samplerRefresh = 16
-)
-
-func newLatencySampler() *latencySampler {
-	return &latencySampler{
-		buf:     make([]time.Duration, samplerWindow),
-		scratch: make([]time.Duration, 0, samplerWindow),
-	}
-}
-
-func (s *latencySampler) record(d time.Duration) {
-	s.mu.Lock()
-	s.buf[s.next] = d
-	s.next = (s.next + 1) % len(s.buf)
-	if s.n < len(s.buf) {
-		s.n++
-	}
-	s.sinceCalc++
-	if s.sinceCalc >= samplerRefresh {
-		s.cacheValid = false
-	}
-	s.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the window and the current sample
-// count. The count is always live (never cached) so HedgeMinSamples
-// gating stays exact; the quantile value may lag by up to
-// samplerRefresh records.
-func (s *latencySampler) quantile(q float64) (time.Duration, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return 0, 0
-	}
-	if s.cacheValid && s.cacheQ == q {
-		return s.cacheVal, s.n
-	}
-	window := append(s.scratch[:0], s.buf[:s.n]...)
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	idx := int(q * float64(s.n))
-	if idx >= s.n {
-		idx = s.n - 1
-	}
-	s.cacheQ, s.cacheVal, s.cacheValid, s.sinceCalc = q, window[idx], true, 0
-	return window[idx], s.n
 }

@@ -15,7 +15,10 @@ import (
 //   - Within a backend queue, tenants are served by weighted deficit
 //     round robin (DRR) under strict priority classes (interactive
 //     before batch), so one tenant's flood interleaves fairly with
-//     everyone else instead of forming a FIFO convoy.
+//     everyone else instead of forming a FIFO convoy. Each tenant's own
+//     cells leave in arrival order, so a fleet with one unlimited
+//     tenant dispatches first come, first served (the fleetfair
+//     experiment's fifo baseline).
 //   - A tenant at its MaxInflightCells cap is skipped without consuming
 //     its deficit; its cells wait queued while others proceed.
 //   - When a backend's workers run dry they steal a chunk of queued
@@ -101,11 +104,23 @@ func (cq *classQueue) remove(i int) {
 }
 
 // backendQueue is the per-backend dispatch queue: one classQueue per
-// priority class under DRR, or a plain FIFO deque in fifo mode.
+// priority class under DRR.
 type backendQueue struct {
 	classes [tenant.NumClasses]*classQueue
-	fifo    []*task
 	depth   int
+}
+
+func newBackendQueue() *backendQueue {
+	bq := &backendQueue{}
+	for i := range bq.classes {
+		bq.classes[i] = newClassQueue()
+	}
+	return bq
+}
+
+func (bq *backendQueue) push(t *task) {
+	bq.classes[t.ten.Class().Index()].push(t)
+	bq.depth++
 }
 
 // dispatcher owns every backend queue. One mutex guards them all: the
@@ -116,21 +131,14 @@ type dispatcher struct {
 	cond    *sync.Cond
 	queues  map[string]*backendQueue
 	order   []string // stable iteration order for stealing
-	drr     bool
-	chunk   int
 	closed  bool
 	total   int
 	metrics *Metrics
 }
 
-func newDispatcher(backends []string, drr bool, stealChunk int, m *Metrics) *dispatcher {
-	if stealChunk <= 0 {
-		stealChunk = defaultStealChunk
-	}
+func newDispatcher(backends []string, m *Metrics) *dispatcher {
 	d := &dispatcher{
 		queues:  make(map[string]*backendQueue, len(backends)),
-		drr:     drr,
-		chunk:   stealChunk,
 		metrics: m,
 	}
 	d.cond = sync.NewCond(&d.mu)
@@ -138,13 +146,8 @@ func newDispatcher(backends []string, drr bool, stealChunk int, m *Metrics) *dis
 		if _, dup := d.queues[url]; dup {
 			continue
 		}
-		d.queues[url] = &backendQueue{}
+		d.queues[url] = newBackendQueue()
 		d.order = append(d.order, url)
-		if drr {
-			for i := range d.queues[url].classes {
-				d.queues[url].classes[i] = newClassQueue()
-			}
-		}
 	}
 	return d
 }
@@ -160,12 +163,7 @@ func (d *dispatcher) enqueue(tasks []*task) {
 			t.owner = d.order[0]
 			bq = d.queues[t.owner]
 		}
-		if d.drr {
-			bq.classes[t.ten.Class().Index()].push(t)
-		} else {
-			bq.fifo = append(bq.fifo, t)
-		}
-		bq.depth++
+		bq.push(t)
 		d.total++
 	}
 	d.mu.Unlock()
@@ -206,19 +204,6 @@ func (d *dispatcher) popLocked(url string) *task {
 }
 
 func (d *dispatcher) popQueueLocked(bq *backendQueue) *task {
-	if !d.drr {
-		for len(bq.fifo) > 0 {
-			t := bq.fifo[0]
-			bq.fifo = bq.fifo[1:]
-			d.taskPoppedLocked(bq, t)
-			// FIFO mode keeps the inflight gauge but does not gate on
-			// quota — matching the pre-tenant fleet semantics.
-			t.ten.AcquireInflight()
-			t.acquired = true
-			return t
-		}
-		return nil
-	}
 	for _, cq := range bq.classes {
 		if t := d.popClassLocked(bq, cq); t != nil {
 			return t
@@ -293,7 +278,7 @@ func (d *dispatcher) stealLocked(url string) bool {
 	if victim == nil {
 		return false
 	}
-	want := d.chunk
+	want := defaultStealChunk
 	if half := victim.depth / 2; want > half {
 		want = half
 	}
@@ -306,12 +291,7 @@ func (d *dispatcher) stealLocked(url string) bool {
 	}
 	thief := d.queues[url]
 	for _, t := range stolen {
-		if d.drr {
-			thief.classes[t.ten.Class().Index()].push(t)
-		} else {
-			thief.fifo = append(thief.fifo, t)
-		}
-		thief.depth++
+		thief.push(t)
 	}
 	if d.metrics != nil {
 		d.metrics.Stole(len(stolen))
@@ -325,15 +305,6 @@ func (d *dispatcher) stealLocked(url string) bool {
 // park them, blocked, in the thief's queue.
 func (d *dispatcher) takeTailLocked(bq *backendQueue, n int) []*task {
 	var out []*task
-	if !d.drr {
-		for len(out) < n && len(bq.fifo) > 0 {
-			t := bq.fifo[len(bq.fifo)-1]
-			bq.fifo = bq.fifo[:len(bq.fifo)-1]
-			out = append(out, t)
-			bq.depth--
-		}
-		return out
-	}
 	// Scan classes lowest-priority first so batch is stolen before
 	// interactive.
 	for ci := len(bq.classes) - 1; ci >= 0 && len(out) < n; ci-- {

@@ -19,12 +19,15 @@ import (
 // batch tenant floods the fleet with sweeps, and the interactive p50/p99
 // latency is compared between FIFO dispatch (the batch backlog queues
 // ahead of everything) and weighted DRR dispatch (interactive-class
-// cells are served first). This is the paper's static-placement vs
-// runtime-arbitration tradeoff lifted to the fleet: FIFO is the fixed
-// compile-time schedule, DRR the runtime scheduler reordering around a
-// stalled (here: flooded) resource. Every submission carries a distinct
-// cycle budget so nothing is served from cache — the measurement is
-// queueing, not cache luck.
+// cells are served first). The gateway has one dispatcher; the fifo rows
+// submit both streams as the open registry's one unlimited default
+// tenant, whose queue DRR serves in arrival order, and the drr rows
+// submit them as separate interactive and batch tenants. This is the
+// paper's static-placement vs runtime-arbitration tradeoff lifted to
+// the fleet: FIFO is the fixed compile-time schedule, DRR the runtime
+// scheduler reordering around a stalled (here: flooded) resource. Every
+// submission carries a distinct cycle budget so nothing is served from
+// cache — the measurement is queueing, not cache luck.
 func init() {
 	experiments.Register(experiments.Experiment{
 		Name:      "fleetfair",
@@ -37,11 +40,12 @@ func init() {
 	})
 }
 
-// FleetFairRow is one (backend count, scheduling) configuration.
+// FleetFairRow is one (backend count, tenant split) configuration.
 type FleetFairRow struct {
 	// Backends is the pcserved count behind the gateway.
 	Backends int `json:"backends"`
-	// Sched is the dispatch discipline: "fifo" or "drr".
+	// Sched is "fifo" (both streams as one tenant: arrival order) or
+	// "drr" (an interactive and a batch tenant).
 	Sched string `json:"sched"`
 	// BaseP50MS/BaseP99MS are interactive latencies on an idle fleet.
 	BaseP50MS float64 `json:"base_p50_ms"`
@@ -66,8 +70,7 @@ func nextFairOptions() service.SimOptions {
 	return service.SimOptions{MaxCycles: 10_000_000 + fleetFairCycles.Add(1)}
 }
 
-// FleetFair measures every scheduling discipline at 1, 2, and 4
-// backends.
+// FleetFair measures both tenant splits at 1, 2, and 4 backends.
 func FleetFair(ctx context.Context) ([]FleetFairRow, error) {
 	var rows []FleetFairRow
 	for _, n := range []int{1, 2, 4} {
@@ -82,9 +85,9 @@ func FleetFair(ctx context.Context) ([]FleetFairRow, error) {
 	return rows, nil
 }
 
-// fleetFairOne boots n fresh backends plus a gateway under the given
-// scheduling discipline and measures interactive latency idle and
-// flooded.
+// fleetFairOne boots n fresh backends plus a gateway, submits the
+// interactive and batch streams under sched's tenant split, and
+// measures interactive latency idle and flooded.
 func fleetFairOne(ctx context.Context, n int, sched string) (*FleetFairRow, error) {
 	var urls []string
 	var stops []func()
@@ -103,12 +106,10 @@ func fleetFairOne(ctx context.Context, n int, sched string) (*FleetFairRow, erro
 	}
 
 	gw, err := New(Options{
-		Pool:       PoolOptions{Backends: urls, ProbeInterval: 200 * time.Millisecond},
-		Scheduling: sched,
+		Pool: PoolOptions{Backends: urls, ProbeInterval: 200 * time.Millisecond},
 		// One dispatch worker per backend: contention for the worker is
 		// the whole point of the measurement.
 		BackendConcurrency: 1,
-		HedgeQuantile:      2, // disabled: hedges would blur the queueing signal
 	})
 	if err != nil {
 		return nil, err
@@ -122,13 +123,14 @@ func fleetFairOne(ctx context.Context, n int, sched string) (*FleetFairRow, erro
 		gw.Shutdown(sctx)
 	})
 
-	interactive, err := tenant.New(tenant.Spec{Name: "interactive", Weight: 8, Class: "interactive"})
-	if err != nil {
-		return nil, err
-	}
-	batch, err := tenant.New(tenant.Spec{Name: "batch", Weight: 1, Class: "batch"})
-	if err != nil {
-		return nil, err
+	interactive, batch := gw.Tenants().Default(), gw.Tenants().Default()
+	if sched == "drr" {
+		if interactive, err = tenant.New(tenant.Spec{Name: "interactive", Weight: 8, Class: "interactive"}); err != nil {
+			return nil, err
+		}
+		if batch, err = tenant.New(tenant.Spec{Name: "batch", Weight: 1, Class: "batch"}); err != nil {
+			return nil, err
+		}
 	}
 
 	base, err := fleetFairSample(ctx, gw, interactive)
@@ -245,8 +247,9 @@ func durMS(d time.Duration) float64 { return float64(d) / float64(time.Milliseco
 // improvement at each fleet size.
 func WriteFleetFair(w io.Writer, rows []FleetFairRow) {
 	fmt.Fprintf(w, "Fleet fairness: interactive latency with and without a batch sweep flood\n")
-	fmt.Fprintf(w, "(fifo: single queue per backend; drr: weighted deficit round-robin with\n")
-	fmt.Fprintf(w, "strict interactive-before-batch class priority and tail work stealing)\n\n")
+	fmt.Fprintf(w, "(fifo: both streams as one tenant, served in arrival order; drr: separate\n")
+	fmt.Fprintf(w, "interactive and batch tenants under weighted deficit round-robin with strict\n")
+	fmt.Fprintf(w, "interactive-before-batch class priority; tail work stealing in both)\n\n")
 	fmt.Fprintf(w, "%9s %6s %10s %10s %11s %11s %7s\n",
 		"backends", "sched", "idle p50", "idle p99", "flood p50", "flood p99", "steals")
 	for _, r := range rows {

@@ -47,10 +47,21 @@ type FleetScaleRow struct {
 	// Speedup is the 1-backend cold wall-clock over this row's.
 	Speedup float64 `json:"speedup"`
 	// AffinityHitRatio is cache hits over content-key-routed dispatches
-	// during the warm pass (cells that routed back to a backend that
-	// had them cached; bounded-load spills during the cold pass lower
-	// it below 100%).
+	// during the warm pass: cells whose owner served them from its own
+	// cache, over those plus the cells that were recomputed (peer-fill
+	// hits count in neither). A cell stolen during the cold pass is
+	// cached only on its thief. On the warm pass its owner probes its own
+	// cache and then its next ring node's, so with 2 backends the copy is
+	// always found, and with 4 the cell is recomputed whenever the thief
+	// was a third backend.
 	AffinityHitRatio float64 `json:"affinity_hit_ratio"`
+	// ColdSteals is how many cells the cold pass moved between backend
+	// queues (each leaves its cached copy off its owner).
+	ColdSteals int64 `json:"cold_steals"`
+	// WarmPeerFills is how many warm-pass cells a peer cache served:
+	// cold-pass steals found on the owner's next ring node, and cells
+	// stolen again during the warm pass found on their owner.
+	WarmPeerFills int64 `json:"warm_peer_fills"`
 }
 
 // fleetScaleSweep is the fixed workload: every benchmark across a
@@ -99,10 +110,7 @@ func fleetScaleOne(ctx context.Context, n int) (*FleetScaleRow, error) {
 		stops = append(stops, stop)
 	}
 
-	gw, err := New(Options{
-		Pool:          PoolOptions{Backends: urls, ProbeInterval: 200 * time.Millisecond},
-		HedgeQuantile: 2, // disabled: hedges would blur the scaling signal
-	})
+	gw, err := New(Options{Pool: PoolOptions{Backends: urls, ProbeInterval: 200 * time.Millisecond}})
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +129,7 @@ func fleetScaleOne(ctx context.Context, n int) (*FleetScaleRow, error) {
 		return nil, err
 	}
 	coldLookups, coldHits := gw.Metrics().AffinityStats()
+	coldSteals, coldFills := gw.Metrics().Steals(), gw.Metrics().PeerFillHits()
 	warm, _, err := runFleetSweep(ctx, gw, sw)
 	if err != nil {
 		return nil, err
@@ -128,10 +137,12 @@ func fleetScaleOne(ctx context.Context, n int) (*FleetScaleRow, error) {
 	allLookups, allHits := gw.Metrics().AffinityStats()
 	lookups, hits := allLookups-coldLookups, allHits-coldHits
 	row := &FleetScaleRow{
-		Backends: n,
-		Cells:    cells,
-		ColdMS:   float64(cold) / float64(time.Millisecond),
-		WarmMS:   float64(warm) / float64(time.Millisecond),
+		Backends:      n,
+		Cells:         cells,
+		ColdMS:        float64(cold) / float64(time.Millisecond),
+		WarmMS:        float64(warm) / float64(time.Millisecond),
+		ColdSteals:    coldSteals,
+		WarmPeerFills: gw.Metrics().PeerFillHits() - coldFills,
 	}
 	if lookups > 0 {
 		row.AffinityHitRatio = float64(hits) / float64(lookups)
@@ -190,9 +201,10 @@ func startLocalBackend() (string, func(), error) {
 func WriteFleetScale(w io.Writer, rows []FleetScaleRow) {
 	fmt.Fprintf(w, "Fleet scaling: sweep wall-clock through pcfleet vs backend count\n")
 	fmt.Fprintf(w, "(cold: empty caches; warm: identical resubmission hitting the sharded caches)\n\n")
-	fmt.Fprintf(w, "%9s %6s %10s %10s %8s %9s\n", "backends", "cells", "cold ms", "warm ms", "speedup", "affinity")
+	fmt.Fprintf(w, "%9s %6s %10s %10s %8s %9s %12s %16s\n",
+		"backends", "cells", "cold ms", "warm ms", "speedup", "affinity", "cold steals", "warm peer fills")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%9d %6d %10.1f %10.1f %7.2fx %8.1f%%\n",
-			r.Backends, r.Cells, r.ColdMS, r.WarmMS, r.Speedup, 100*r.AffinityHitRatio)
+		fmt.Fprintf(w, "%9d %6d %10.1f %10.1f %7.2fx %8.1f%% %12d %16d\n",
+			r.Backends, r.Cells, r.ColdMS, r.WarmMS, r.Speedup, 100*r.AffinityHitRatio, r.ColdSteals, r.WarmPeerFills)
 	}
 }

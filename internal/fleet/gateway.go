@@ -21,22 +21,11 @@ type Options struct {
 	// Tenants authenticates and meters submitters; nil runs open, with a
 	// single unlimited "default" tenant and no key required.
 	Tenants *tenant.Registry
-	// Scheduling picks the dispatch discipline: "drr" (default — weighted
-	// deficit round robin per tenant under strict interactive-before-
-	// batch priority) or "fifo" (arrival order, the pre-tenant behavior,
-	// kept as the fleetfair baseline).
-	Scheduling string
 	// BackendConcurrency is the worker count per backend draining the
 	// dispatch queues (default 8). It replaces the old gateway-global
 	// MaxInflight semaphore: concurrency is now per backend, and queued
 	// cells wait in tenant-fair queues instead of a FIFO convoy.
 	BackendConcurrency int
-	// StealChunk bounds the cells moved per work-stealing transfer from a
-	// saturated backend's queue tail to an idle backend (default 8).
-	StealChunk int
-	// NoPeerFill disables the distributed cache probe (owner's cache,
-	// then the next ring node's) before computing a cell.
-	NoPeerFill bool
 	// HighWatermark is the global queued-cell count above which new batch
 	// submissions are shed with 429; above twice the mark every class is
 	// shed (default 4096; negative disables).
@@ -47,16 +36,6 @@ type Options struct {
 	// RetryBackoff is the base delay between failover attempts of one
 	// cell; it doubles per attempt, capped at 30s (default 200ms).
 	RetryBackoff time.Duration
-	// HedgeQuantile is the completed-cell latency quantile after which a
-	// straggler gets one hedged duplicate (default 0.9). Zero or >= 1
-	// disables hedging.
-	HedgeQuantile float64
-	// HedgeMinSamples is how many completed cells must be observed
-	// before hedging arms (default 8).
-	HedgeMinSamples int
-	// HedgeMinDelay floors the hedge trigger delay so microsecond cache
-	// hits do not spawn pointless duplicates (default 25ms).
-	HedgeMinDelay time.Duration
 	// PresetNames lists preset names known to the backends besides
 	// "baseline". Specs naming them pass JobSpec.Normalize's structural
 	// checks at the gateway; the machine-dependent ones (a program's
@@ -67,9 +46,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Tenants == nil {
 		o.Tenants = tenant.Open()
-	}
-	if o.Scheduling == "" {
-		o.Scheduling = "drr"
 	}
 	if o.BackendConcurrency <= 0 {
 		o.BackendConcurrency = 8
@@ -82,15 +58,6 @@ func (o *Options) defaults() {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 200 * time.Millisecond
-	}
-	if o.HedgeQuantile == 0 {
-		o.HedgeQuantile = 0.9
-	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = 8
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = 25 * time.Millisecond
 	}
 }
 
@@ -111,7 +78,6 @@ type Gateway struct {
 	presets map[string]*machine.Config
 	client  *http.Client // dispatch client (no timeout: streams are long)
 	probe   *http.Client // peer-fill cache probes (bounded)
-	sampler *latencySampler
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -125,9 +91,6 @@ type Gateway struct {
 // New builds a Gateway; call Start before serving its Handler.
 func New(opts Options) (*Gateway, error) {
 	opts.defaults()
-	if opts.Scheduling != "drr" && opts.Scheduling != "fifo" {
-		return nil, fmt.Errorf("fleet: unknown scheduling %q (drr|fifo)", opts.Scheduling)
-	}
 	m := NewMetrics()
 	pool, err := newPool(opts.Pool, m)
 	if err != nil {
@@ -144,7 +107,7 @@ func New(opts Options) (*Gateway, error) {
 		opts:    opts,
 		pool:    pool,
 		tenants: opts.Tenants,
-		disp:    newDispatcher(opts.Pool.Backends, opts.Scheduling == "drr", opts.StealChunk, m),
+		disp:    newDispatcher(opts.Pool.Backends, m),
 		metrics: m,
 		jobs: service.NewRegistry("f", func(_ *service.Job, state service.JobState) {
 			m.JobState(string(state))
@@ -152,7 +115,6 @@ func New(opts Options) (*Gateway, error) {
 		presets:    presets,
 		client:     &http.Client{},
 		probe:      &http.Client{Timeout: 2 * time.Second},
-		sampler:    newLatencySampler(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}, nil

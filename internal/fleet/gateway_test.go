@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,8 +42,7 @@ func startBackend(t *testing.T, opts service.Options) (string, *service.Server, 
 func startGateway(t *testing.T, urls []string, mut func(*Options)) (*Gateway, *httptest.Server) {
 	t.Helper()
 	opts := Options{
-		Pool:          PoolOptions{Backends: urls, ProbeInterval: 100 * time.Millisecond},
-		HedgeQuantile: 2, // disabled unless a test opts in
+		Pool: PoolOptions{Backends: urls, ProbeInterval: 100 * time.Millisecond},
 	}
 	if mut != nil {
 		mut(&opts)
@@ -158,13 +160,7 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 	refURL, _, _ := startBackend(t, service.Options{})
 	urlA, _, _ := startBackend(t, service.Options{})
 	urlB, _, _ := startBackend(t, service.Options{})
-	// A high load factor keeps every cell on its ring owner: bounded-load
-	// spills would seed the "wrong" backend's cache and make the repeat's
-	// hit accounting timing-dependent (spill picking itself is covered
-	// deterministically in pool_test.go).
-	gw, gwTS := startGateway(t, []string{urlA, urlB}, func(o *Options) {
-		o.Pool.LoadFactor = 8
-	})
+	gw, gwTS := startGateway(t, []string{urlA, urlB}, nil)
 
 	spec := service.JobSpec{Sweep: &testSweep}
 
@@ -341,6 +337,51 @@ func TestSweepFailureDoesNotLeakTenantAccounting(t *testing.T) {
 			t.Fatalf("sweep %d leaked %d inflight-cell count(s)", i, inf)
 		}
 	}
+}
+
+// fakeBackend is a scripted pcserved stand-in: jobs "finish" instantly
+// unless the backend is stalled, in which case streams hang until the
+// client gives up.
+type fakeBackend struct {
+	stalled atomic.Bool
+
+	mu     sync.Mutex
+	nextID int
+}
+
+func (f *fakeBackend) handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(service.Health{Status: "ready", Accepting: true, Workers: 1})
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.nextID++
+		id := fmt.Sprintf("x-%06d", f.nextID)
+		f.mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.JobView{ID: id, State: service.JobQueued})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.JobView{ID: r.PathValue("id"), State: service.JobDone})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		if f.stalled.Load() {
+			if fl, ok := w.(http.Flusher); ok {
+				fl.Flush() // headers out, then hang like a straggler
+			}
+			<-r.Context().Done()
+			return
+		}
+		fmt.Fprintf(w, "{\"v\":1}\n{\"state\":\"done\"}\n")
+	})
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.JobView{ID: r.PathValue("id"), State: service.JobCancelled})
+	})
+	return mux
 }
 
 // TestEarlyCancelReleasesQueuedCells: a cancel that lands between

@@ -16,10 +16,7 @@ type Metrics struct {
 	dispatched      map[string]int64 // cells dispatched per backend URL
 	affinityLookups int64            // cells routed by content key
 	affinityHits    int64            // ... that the routed backend served from cache
-	spills          int64            // bounded-load spills past a saturated owner
 	failovers       int64            // attempts re-routed after a backend failure
-	hedgesFired     int64            // straggler duplicates launched
-	hedgesWon       int64            // duplicates that beat the primary
 	probeFailures   int64            // failed /readyz probes
 	ejections       int64            // backends ejected
 	readmissions    int64            // backends re-admitted after ejection
@@ -75,9 +72,6 @@ func (m *Metrics) AffinityStats() (lookups, hits int64) {
 	return m.affinityLookups, m.affinityHits
 }
 
-// Spilled counts one bounded-load spill.
-func (m *Metrics) Spilled() { m.count(&m.spills) }
-
 // Failover counts one attempt re-routed to another backend.
 func (m *Metrics) Failover() { m.count(&m.failovers) }
 
@@ -86,19 +80,6 @@ func (m *Metrics) Failovers() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.failovers
-}
-
-// HedgeFired counts one straggler duplicate launched.
-func (m *Metrics) HedgeFired() { m.count(&m.hedgesFired) }
-
-// HedgeWon counts one duplicate finishing before its primary.
-func (m *Metrics) HedgeWon() { m.count(&m.hedgesWon) }
-
-// HedgeStats returns lifetime hedges fired and won.
-func (m *Metrics) HedgeStats() (fired, won int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hedgesFired, m.hedgesWon
 }
 
 // ProbeFailed counts one failed health probe.
@@ -282,20 +263,9 @@ func (m *Metrics) WriteText(w io.Writer, g FleetGauges) {
 		fmt.Fprintf(w, "pcfleet_affinity_hit_ratio %.6f\n", float64(m.affinityHits)/float64(m.affinityLookups))
 	}
 
-	fmt.Fprintf(w, "# HELP pcfleet_spills_total Bounded-load spills past a saturated ring owner.\n")
-	fmt.Fprintf(w, "# TYPE pcfleet_spills_total counter\n")
-	fmt.Fprintf(w, "pcfleet_spills_total %d\n", m.spills)
-
 	fmt.Fprintf(w, "# HELP pcfleet_failovers_total Attempts re-routed after a backend failure.\n")
 	fmt.Fprintf(w, "# TYPE pcfleet_failovers_total counter\n")
 	fmt.Fprintf(w, "pcfleet_failovers_total %d\n", m.failovers)
-
-	fmt.Fprintf(w, "# HELP pcfleet_hedges_fired_total Straggler duplicates launched.\n")
-	fmt.Fprintf(w, "# TYPE pcfleet_hedges_fired_total counter\n")
-	fmt.Fprintf(w, "pcfleet_hedges_fired_total %d\n", m.hedgesFired)
-	fmt.Fprintf(w, "# HELP pcfleet_hedges_won_total Duplicates that finished before their primary.\n")
-	fmt.Fprintf(w, "# TYPE pcfleet_hedges_won_total counter\n")
-	fmt.Fprintf(w, "pcfleet_hedges_won_total %d\n", m.hedgesWon)
 
 	fmt.Fprintf(w, "# HELP pcfleet_probe_failures_total Failed backend health probes.\n")
 	fmt.Fprintf(w, "# TYPE pcfleet_probe_failures_total counter\n")

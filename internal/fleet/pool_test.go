@@ -20,42 +20,42 @@ func testPool(t *testing.T, opts PoolOptions) *Pool {
 	return p
 }
 
-// TestPickBoundedLoadSpill: a saturated owner spills its key to the next
-// ring node; an unsaturated owner keeps it.
-func TestPickBoundedLoadSpill(t *testing.T) {
-	p := testPool(t, PoolOptions{Backends: []string{"http://a:1", "http://b:1"}, LoadFactor: 1.25})
-
+// TestPickFollowsRingOrder: pick ignores load — an owner with any
+// number of dispatches in flight is still the first pick — and an
+// excluded or ejected owner yields its ring successor.
+func TestPickFollowsRingOrder(t *testing.T) {
+	p := testPool(t, PoolOptions{Backends: []string{"http://a:1", "http://b:1", "http://c:1"}})
 	const key = "some-content-key"
-	owner, spilled, err := p.pick(key, nil)
-	if err != nil || spilled {
-		t.Fatalf("idle pick: owner=%v spilled=%v err=%v", owner, spilled, err)
-	}
-	if owner.URL != p.ring.owner(key) {
-		t.Fatalf("idle pick chose %s, ring owner is %s", owner.URL, p.ring.owner(key))
+	seq := p.ring.seq(key)
+	owner := p.backends[seq[0]]
+
+	for _, inflight := range []int{0, 1, 100} {
+		owner.mu.Lock()
+		owner.inflight = inflight
+		owner.mu.Unlock()
+		got, err := p.pick(key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != owner {
+			t.Fatalf("owner with %d in flight: pick chose %s, want owner %s", inflight, got.URL, owner.URL)
+		}
 	}
 
-	// Saturate the owner far past any capacity the other's load allows.
-	owner.mu.Lock()
-	owner.inflight = 100
-	owner.mu.Unlock()
-	got, spilled, err := p.pick(key, nil)
+	got, err := p.pick(key, map[string]bool{owner.URL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spilled || got.URL == owner.URL {
-		t.Fatalf("saturated owner not spilled: got %s, spilled=%v", got.URL, spilled)
+	if got.URL != seq[1] {
+		t.Fatalf("excluded owner: pick chose %s, want ring successor %s", got.URL, seq[1])
 	}
 
-	// Both saturated: the owner absorbs the overload rather than failing.
-	got.mu.Lock()
-	got.inflight = 100
-	got.mu.Unlock()
-	final, spilled, err := p.pick(key, nil)
-	if err != nil {
+	p.markDown(owner, nil)
+	if got, err = p.pick(key, nil); err != nil {
 		t.Fatal(err)
 	}
-	if final.URL != owner.URL || spilled {
-		t.Fatalf("fully saturated pool: got %s spilled=%v, want owner %s", final.URL, spilled, owner.URL)
+	if got.URL != seq[1] {
+		t.Fatalf("ejected owner: pick chose %s, want ring successor %s", got.URL, seq[1])
 	}
 }
 
@@ -67,7 +67,7 @@ func TestPickSkipsUnhealthyAndExcluded(t *testing.T) {
 	owner := p.ring.owner(key)
 
 	p.markDown(p.backends[owner], nil)
-	got, _, err := p.pick(key, nil)
+	got, err := p.pick(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPickSkipsUnhealthyAndExcluded(t *testing.T) {
 	}
 
 	// Exclude the failover target too; the last backend must be picked.
-	got2, _, err := p.pick(key, map[string]bool{got.URL: true})
+	got2, err := p.pick(key, map[string]bool{got.URL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPickSkipsUnhealthyAndExcluded(t *testing.T) {
 		t.Fatalf("pick ignored exclusion: %s", got2.URL)
 	}
 
-	if _, _, err := p.pick(key, map[string]bool{got.URL: true, got2.URL: true}); err != ErrNoBackends {
+	if _, err := p.pick(key, map[string]bool{got.URL: true, got2.URL: true}); err != ErrNoBackends {
 		t.Fatalf("exhausted pool: err=%v, want ErrNoBackends", err)
 	}
 }

@@ -6,11 +6,10 @@
 // internal/service), so routing a cell by its content key gives every
 // backend a naturally hot, disjoint shard of the result cache: repeat
 // submissions of the same cell always land on the same backend. The
-// ring uses bounded-load consistent hashing — a saturated backend spills
-// to the next ring node — and the dispatcher adds failover (dead
-// backends' cells re-route and retry) and hedging (straggler cells get
-// one duplicate; the loser is cancelled, safe because both would return
-// the same bytes).
+// ring is the static placement; the dispatcher adds the runtime
+// arbitration (tenant-fair DRR queues, tail work stealing, peer-fill
+// cache probes) and failover (dead backends' cells re-route to the next
+// ring node and retry).
 package fleet
 
 import (
@@ -105,7 +104,7 @@ func (r *ring) owner(key string) string {
 }
 
 // seq returns every member once, in ring order starting from key's
-// successor. seq[0] is the key's owner; the rest are the spill/failover
+// successor. seq[0] is the key's owner; the rest are the failover
 // order (each subsequent entry is the next distinct node clockwise).
 func (r *ring) seq(key string) []string {
 	if len(r.points) == 0 {

@@ -200,8 +200,8 @@ func TestPeerFillServesWarmCacheAcrossRing(t *testing.T) {
 }
 
 // slowProxy fronts a backend with a fixed per-request delay on the job
-// API (probes stay fast), making the backend a straggler so its queue
-// backs up and the other backend steals.
+// API (probes — health and cache — stay fast), making the backend a
+// straggler so its queue backs up and the other backend steals.
 func slowProxy(t *testing.T, target string, delay time.Duration) string {
 	t.Helper()
 	u, err := url.Parse(target)
@@ -210,7 +210,7 @@ func slowProxy(t *testing.T, target string, delay time.Duration) string {
 	}
 	rp := httputil.NewSingleHostReverseProxy(u)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
+		if isJobAPI(r) {
 			time.Sleep(delay)
 		}
 		rp.ServeHTTP(w, r)
@@ -219,9 +219,17 @@ func slowProxy(t *testing.T, target string, delay time.Duration) string {
 	return ts.URL
 }
 
-// gatedProxy fronts a backend whose job API (probes stay open) holds
-// every request until release is called: a straggler whose queue backs
-// up for as long as the test needs, whatever either backend's speed.
+// isJobAPI reports whether a request is job traffic rather than a
+// probe: health checks and the peer-fill GET /v1/cache/ pass through
+// the straggler proxies untouched.
+func isJobAPI(r *http.Request) bool {
+	return strings.HasPrefix(r.URL.Path, "/v1/") && !strings.HasPrefix(r.URL.Path, "/v1/cache/")
+}
+
+// gatedProxy fronts a backend whose job API (probes — health and cache —
+// stay open) holds every request until release is called: a straggler
+// whose queue backs up for as long as the test needs, whatever either
+// backend's speed.
 func gatedProxy(t *testing.T, target string) (string, func()) {
 	t.Helper()
 	u, err := url.Parse(target)
@@ -233,7 +241,7 @@ func gatedProxy(t *testing.T, target string) (string, func()) {
 	release := func() { once.Do(func() { close(gate) }) }
 	rp := httputil.NewSingleHostReverseProxy(u)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
+		if isJobAPI(r) {
 			<-gate
 		}
 		rp.ServeHTTP(w, r)
@@ -250,15 +258,13 @@ func TestStealPreservesByteIdenticalStream(t *testing.T) {
 	refURL, _, _ := startBackend(t, service.Options{})
 	urlA, _, _ := startBackend(t, service.Options{})
 	urlB, _, _ := startBackend(t, service.Options{})
-	slowA, release := gatedProxy(t, urlA)
+	slowA, releaseA := gatedProxy(t, urlA)
+	slowB, releaseB := gatedProxy(t, urlB)
 
 	// One worker per backend: the straggler's cells sit in its queue
 	// (stealable) instead of being scattered into in-flight requests.
-	// Peer-fill is off so the fast backend's cells don't ride probe
-	// round-trips through the held proxy.
-	gw, gwTS := startGateway(t, []string{slowA, urlB}, func(o *Options) {
+	gw, gwTS := startGateway(t, []string{slowA, slowB}, func(o *Options) {
 		o.BackendConcurrency = 1
-		o.NoPeerFill = true
 	})
 
 	spec := service.JobSpec{Sweep: &service.SweepSpec{Benches: []string{"lud"}, MinIU: 1, MaxIU: 5}}
@@ -267,13 +273,30 @@ func TestStealPreservesByteIdenticalStream(t *testing.T) {
 		t.Fatalf("reference sweep: %s (%s)", ref.State, ref.Error)
 	}
 
-	// The straggler's one worker holds its first cell at the gate, so
-	// the rest of its queue (all but 1 of ~12 ring-owned cells) waits
-	// until the fast backend has drained its own queue and stolen. Only
-	// then is the straggler released; with a fixed delay instead, a
-	// slow host could let the straggler drain first and nothing would
-	// be left to steal.
+	// Both backends start held. Ring positions follow the test servers'
+	// random ports, so either backend may own almost none of the 25
+	// cells; the one with the shorter queue is released at once and the
+	// other is the straggler, left with at least 11 queued cells.
 	job := submitJob(t, gwTS.URL, spec)
+	for deadline := time.Now().Add(time.Minute); gw.disp.queued() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep cells never reached the dispatch queues")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release := releaseA
+	if depth := gw.disp.depths(); depth[slowA] < depth[slowB] {
+		releaseA()
+		release = releaseB
+	} else {
+		releaseB()
+	}
+
+	// The straggler's one worker holds its first cell at the gate, so
+	// the rest of its queue waits until the fast backend has drained its
+	// own queue and stolen. Only then is the straggler released; with a
+	// fixed delay instead, a slow host could let the straggler drain
+	// first and nothing would be left to steal.
 	for deadline := time.Now().Add(2 * time.Minute); gw.Metrics().Steals() == 0 && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -300,7 +323,6 @@ func TestInteractivePreemptsBatchBacklog(t *testing.T) {
 	_, gwTS := startGateway(t, []string{slowA}, func(o *Options) {
 		o.Tenants = testRegistry(t, nil)
 		o.BackendConcurrency = 1
-		o.NoPeerFill = true // every cell rides the slow dispatch path
 	})
 
 	batchSpec, _ := json.Marshal(service.JobSpec{Sweep: &testSweep})

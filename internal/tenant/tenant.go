@@ -263,10 +263,6 @@ func (t *Tenant) TryAcquireInflight() bool {
 	}
 }
 
-// AcquireInflight reserves one in-flight slot unconditionally (FIFO
-// scheduling, which does not gate on quotas, still keeps the gauge).
-func (t *Tenant) AcquireInflight() { t.inflight.Add(1) }
-
 // ReleaseInflight returns one in-flight slot.
 func (t *Tenant) ReleaseInflight() { t.inflight.Add(-1) }
 
