@@ -8,9 +8,10 @@
 // internal/experiments (also served over HTTP by pcserved); run with an
 // unknown -exp value to list every experiment with a description.
 //
-// Sweeps execute their independent cells in parallel (the -j flag;
-// default GOMAXPROCS) with results merged in submission order, so the
-// output bytes are identical at any width.
+// Sweeps execute their independent cells in parallel (the -j flag,
+// carried to every experiment on the run context; default GOMAXPROCS)
+// with results merged in submission order, so the output bytes are
+// identical at any width.
 //
 // Performance tooling: -cpuprofile/-memprofile write pprof profiles of
 // the run, and `-exp perf -out BENCH_sim.json` records the simulator's
@@ -21,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,7 +41,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run ("+experiments.UsageNames()+")")
-	jobs := flag.Int("j", 0, "parallel cell-execution width for sweeps (0: GOMAXPROCS, 1: sequential); output bytes are identical at any width")
+	jobs := flag.Int("j", 0, "parallel cell-execution width for sweeps (0: GOMAXPROCS, 1: one cell at a time); output bytes are identical at any width")
 	machinePath := flag.String("machine", "", "machine configuration JSON file (default: baseline; Figure 8 always sweeps its own machines)")
 	asJSON := flag.Bool("json", false, "emit raw experiment rows as JSON instead of formatted tables")
 	outPath := flag.String("out", "", "also write the experiment rows as JSON to this file (e.g. -exp perf -out BENCH_sim.json)")
@@ -48,13 +50,12 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	parexec.SetDefault(*jobs)
-	os.Exit(run(*exp, *machinePath, *asJSON, *outPath, *floor, *cpuProfile, *memProfile))
+	os.Exit(run(*exp, *jobs, *machinePath, *asJSON, *outPath, *floor, *cpuProfile, *memProfile))
 }
 
 // run holds the tool body so deferred profile writers execute before the
 // process exits.
-func run(exp, machinePath string, asJSON bool, outPath, floor, cpuProfile, memProfile string) int {
+func run(exp string, jobs int, machinePath string, asJSON bool, outPath, floor, cpuProfile, memProfile string) int {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
@@ -117,7 +118,7 @@ func run(exp, machinePath string, asJSON bool, outPath, floor, cpuProfile, memPr
 		list = []experiments.Experiment{*e}
 	}
 
-	rc := &experiments.RunContext{Cfg: baseCfg}
+	rc := &experiments.RunContext{Ctx: parexec.WithLimit(context.Background(), jobs), Cfg: baseCfg}
 	allRows := make(map[string]any, len(list))
 	for i, e := range list {
 		if i > 0 {

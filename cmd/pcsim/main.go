@@ -26,7 +26,6 @@ import (
 	"pcoup/internal/isa"
 	"pcoup/internal/machine"
 	"pcoup/internal/memsys"
-	"pcoup/internal/parexec"
 	"pcoup/internal/sim"
 )
 
@@ -50,12 +49,10 @@ func run() int {
 	ckptEvery := flag.Int64("checkpoint-every", 0, "snapshot full simulator state every N cycles to -checkpoint")
 	ckptPath := flag.String("checkpoint", "pcsim.ckpt.json", "checkpoint file for -checkpoint-every (latest snapshot wins)")
 	resume := flag.String("resume", "", "resume from a checkpoint file instead of starting at cycle 0")
-	jobs := flag.Int("j", 0, "parallel execution width for any in-process sweep (0: GOMAXPROCS); a single program run is unaffected")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	parexec.SetDefault(*jobs)
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: pcsim [flags] prog.pca")
 		flag.Usage()

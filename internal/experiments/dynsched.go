@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 )
 
 // DynSchedRow is one cell of the dynamic-scheduling extension: a
@@ -75,7 +76,7 @@ func DynSchedCtx(ctx context.Context, cfg *machine.Config) ([]DynSchedRow, error
 		}
 	}
 	rows := make([]DynSchedRow, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		p := dynPresets[c.preset]
 		cell := cfg.WithMemory(c.mem)

@@ -7,6 +7,7 @@ import (
 
 	"pcoup/internal/compiler"
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 	"pcoup/internal/sim"
 )
 
@@ -68,7 +69,7 @@ func UnrollingCtx(ctx context.Context, cfg *machine.Config) ([]UnrollRow, error)
 		}
 	}
 	cycles := make([]int64, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		opts := compiler.Options{Mode: compilerMode(c.mode), AutoUnroll: c.unroll}
 		n, err := executeWith(ctx, c.bench, c.mode, cfg, opts)
@@ -130,7 +131,7 @@ func ThreadCapCtx(ctx context.Context, cfg *machine.Config) ([]ThreadCapRow, err
 		}
 	}
 	rows := make([]ThreadCapRow, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		cc := cfg.Clone()
 		cc.MaxThreads = c.cap

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 )
 
 // Figure6Row is one point of Figure 6: cycle count of a benchmark in
@@ -43,7 +44,7 @@ func Figure6Ctx(ctx context.Context, cfg *machine.Config) ([]Figure6Row, error) 
 		}
 	}
 	rows := make([]Figure6Row, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		r, err := ExecuteCtx(ctx, c.bench, COUPLED, cfg.WithInterconnect(c.ic))
 		if err != nil {

@@ -1,29 +1,5 @@
 package experiments
 
-import (
-	"context"
-
-	"pcoup/internal/parexec"
-)
-
-// runParallel is runParallelCtx without external cancellation.
-func runParallel(n int, fn func(i int) error) error {
-	return runParallelCtx(context.Background(), n, fn)
-}
-
-// runParallelCtx executes fn(i) for every i in [0, n) through the shared
-// parallel cell-execution engine (internal/parexec). Each experiment
-// cell is an independent deterministic simulation, so fan-out changes
-// wall-clock time only; results are written by index, keeping output
-// order stable, and on failure the lowest-index cell error is returned —
-// the same error sequential execution reports. The pool width comes
-// from the context (parexec.WithLimit, set by pcbench -j and pcserved's
-// -sweep-parallelism) and defaults to GOMAXPROCS; a context-carried
-// parexec.Limiter additionally bounds cells across concurrent jobs.
-func runParallelCtx(ctx context.Context, n int, fn func(i int) error) error {
-	return parexec.Run(ctx, n, fn)
-}
-
 // cell identifies one (benchmark, mode, config) execution of a sweep.
 type cell struct {
 	bench string

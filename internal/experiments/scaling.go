@@ -7,6 +7,7 @@ import (
 
 	"pcoup/internal/compiler"
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 	"pcoup/internal/sim"
 )
 
@@ -55,7 +56,7 @@ func ScalingCtx(ctx context.Context, cfg *machine.Config) ([]ScalingRow, error) 
 		}
 	}
 	cycles := make([]int64, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		bm, prog, _, err := compileCached(c.bench, sourceKind(c.mode), c.size, cfg, compiler.Options{Mode: compilerMode(c.mode)})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 	"pcoup/internal/sim"
 )
 
@@ -41,7 +42,7 @@ func StallsCtx(ctx context.Context, cfg *machine.Config) ([]StallRow, error) {
 	}
 	cells := benchModeCells(Modes())
 	rows := make([]StallRow, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		r, err := ExecuteCtx(ctx, cells[i].bench, cells[i].mode, cfg, sim.WithStallAttribution())
 		if err != nil {
 			return err

@@ -44,12 +44,20 @@ func newRing(replicas int) *ring {
 	return &ring{replicas: replicas, index: map[string]struct{}{}}
 }
 
-// hashKey is FNV-64a: deterministic across processes and restarts, so a
-// restarted gateway routes identically and backend caches stay hot.
+// hashKey is FNV-64a followed by the splitmix64 finalizer. FNV-64a
+// alone maps similar names (virtual nodes url#i, loopback URLs that
+// differ in a port digit) to clustered points, so two backends could
+// split the keys far from evenly; the finalizer spreads every input bit
+// over the whole word. Both steps are deterministic across processes
+// and restarts, so a restarted gateway routes identically and backend
+// caches stay hot.
 func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // add inserts a member (idempotent).

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -125,6 +127,39 @@ func TestRingDistribution(t *testing.T) {
 		share := float64(counts[m]) / float64(len(keys))
 		if share < 0.10 || share > 0.45 {
 			t.Fatalf("member %s owns %.1f%% of keys; want a roughly even split", m, 100*share)
+		}
+	}
+}
+
+// TestRingBalancesLoopbackPairs: two backends on random loopback ports
+// — the usual local fleet — must split content keys roughly evenly.
+// Unmixed FNV-64a points clustered for such similar names, leaving one
+// backend with almost no keys in some pairs.
+func TestRingBalancesLoopbackPairs(t *testing.T) {
+	keys := make([]string, 2000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("sha256:%x", sha256.Sum256([]byte(fmt.Sprint(i))))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for pair := 0; pair < 2000; pair++ {
+		p1 := 1024 + rng.Intn(64511)
+		p2 := 1024 + rng.Intn(64511)
+		if p1 == p2 {
+			continue
+		}
+		a, b := fmt.Sprintf("http://127.0.0.1:%d", p1), fmt.Sprintf("http://127.0.0.1:%d", p2)
+		r := newRing(0)
+		r.add(a)
+		r.add(b)
+		na := 0
+		for _, k := range keys {
+			if r.owner(k) == a {
+				na++
+			}
+		}
+		share := float64(min(na, len(keys)-na)) / float64(len(keys))
+		if share < 0.35 {
+			t.Fatalf("%s / %s: smaller backend owns %.3f of keys; want >= 0.35", a, b, share)
 		}
 	}
 }

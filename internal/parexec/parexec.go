@@ -5,25 +5,25 @@
 //
 // The engine's contract is byte-identity with sequential execution:
 //
-//   - Run fans cells out by index; callers write results into an
+//   - Stream fans cells out by index and delivers their results to emit
+//     strictly in submission order from the calling goroutine, so
+//     streaming consumers (NDJSON sweeps, result caches with LRU order)
+//     observe exactly the sequence sequential execution would have
+//     produced. A cancelled or failed stream emits a contiguous prefix
+//     of that sequence and nothing else, and returns the error of the
+//     lowest-index failing cell — the error sequential execution would
+//     have hit, not whichever failure happened to finish first.
+//   - Run is Stream with nothing to emit: callers write results into an
 //     index-addressed slice, so row order never depends on completion
-//     order. When cells fail, the error of the lowest-index failing
-//     cell is returned (the error sequential execution would have hit),
-//     not whichever failure happened to finish first.
-//   - Stream additionally serializes the consumption of results: emit
-//     is invoked strictly in submission order from the calling
-//     goroutine, so streaming consumers (NDJSON sweeps, result caches
-//     with LRU order) observe exactly the sequence sequential execution
-//     would have produced. A cancelled or failed stream emits a
-//     contiguous prefix of that sequence and nothing else.
+//     order.
 //
-// Parallelism resolves in three layers: an explicit per-call width
-// carried on the context (WithLimit — the -j flag, pcserved's
-// -sweep-parallelism), else the process default (SetDefault), else
-// GOMAXPROCS. A shared Limiter (WithLimiter) additionally bounds
-// in-flight cells across concurrent sweeps, so a daemon running many
-// sweep jobs under its own worker pool keeps a global cap on
-// simulation concurrency instead of multiplying the two pools.
+// There is one pool for every width; width 1 runs it with one worker.
+// The width comes from the context (WithLimit — pcbench -j, pcserved's
+// -sweep-parallelism), else GOMAXPROCS. A shared Limiter (WithLimiter)
+// additionally bounds in-flight cells across concurrent sweeps, so a
+// daemon running many sweep jobs under its own worker pool keeps a
+// global cap on simulation concurrency instead of multiplying the two
+// pools.
 package parexec
 
 import (
@@ -33,35 +33,12 @@ import (
 	"sync/atomic"
 )
 
-// defaultLimit holds the process-wide parallelism default; 0 selects
-// GOMAXPROCS at call time.
-var defaultLimit atomic.Int64
-
-// SetDefault sets the process-wide default parallelism for Run and
-// Stream calls whose context carries no explicit limit. n <= 0 restores
-// the built-in default (GOMAXPROCS). CLI -j flags call this once at
-// startup.
-func SetDefault(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultLimit.Store(int64(n))
-}
-
-// Default returns the effective process-wide parallelism default.
-func Default() int {
-	if v := defaultLimit.Load(); v > 0 {
-		return int(v)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 type limitKey struct{}
 type limiterKey struct{}
 
 // WithLimit returns a context carrying an explicit parallelism width
-// for Run/Stream calls beneath it. n <= 0 removes the override (the
-// process default applies again).
+// for Run/Stream calls beneath it. n <= 0 removes the override
+// (GOMAXPROCS applies again).
 func WithLimit(ctx context.Context, n int) context.Context {
 	if n <= 0 {
 		n = 0
@@ -69,13 +46,13 @@ func WithLimit(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, limitKey{}, n)
 }
 
-// LimitFrom resolves the effective parallelism for a call under ctx:
-// the context's explicit width if set, else the process default.
-func LimitFrom(ctx context.Context) int {
+// limitFrom resolves the effective parallelism for a call under ctx:
+// the context's explicit width if set, else GOMAXPROCS.
+func limitFrom(ctx context.Context) int {
 	if v, ok := ctx.Value(limitKey{}).(int); ok && v > 0 {
 		return v
 	}
-	return Default()
+	return runtime.GOMAXPROCS(0)
 }
 
 // Limiter is a counting semaphore bounding in-flight cells across
@@ -93,16 +70,20 @@ func NewLimiter(capacity int) *Limiter {
 	return &Limiter{sem: make(chan struct{}, capacity)}
 }
 
-// Capacity returns the limiter's concurrency bound.
-func (l *Limiter) Capacity() int { return cap(l.sem) }
-
-// acquire takes a token, abandoning the wait if ctx is cancelled.
+// acquire admits one cell: it fails with ctx's error if ctx is
+// cancelled before the token is taken or by the time it is, so no cell
+// ever starts under a cancelled context (a select with both cases
+// ready picks at random).
 func (l *Limiter) acquire(ctx context.Context) error {
-	if l == nil {
-		return nil
+	if err := ctx.Err(); err != nil || l == nil {
+		return err
 	}
 	select {
 	case l.sem <- struct{}{}:
+		if err := ctx.Err(); err != nil {
+			<-l.sem
+			return err
+		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -128,86 +109,15 @@ func limiterFrom(ctx context.Context) *Limiter {
 	return lim
 }
 
-// Run executes fn(i) for every i in [0, n) over a bounded pool of
-// goroutines sized by LimitFrom(ctx) (never more than n). Cells must be
-// independent; callers record results by index so output order is
-// completion-order-free. The first failure stops dispatch (cells
-// already running finish), and among all recorded failures the
-// lowest-index one is returned — the same error sequential execution
-// returns, since cells are deterministic. If no cell failed and ctx was
-// cancelled, ctx.Err() is returned.
+// Run executes fn(i) for every i in [0, n) through Stream with nothing
+// to emit. Cells must be independent; callers record results by index
+// so output order is completion-order-free. The first failure stops
+// dispatch (cells already running finish) and the lowest-index failure
+// is returned; if no cell failed and ctx was cancelled, ctx.Err() is.
 func Run(ctx context.Context, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	workers := LimitFrom(ctx)
-	if workers > n {
-		workers = n
-	}
-	lim := limiterFrom(ctx)
-	if workers <= 1 && lim == nil {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		errIdx int
-		first  error
-	)
-	done := make(chan struct{})
-	record := func(i int, err error) {
-		mu.Lock()
-		if first == nil {
-			errIdx, first = i, err
-			close(done)
-		} else if i < errIdx {
-			errIdx, first = i, err
-		}
-		mu.Unlock()
-	}
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := lim.acquire(ctx); err != nil {
-					record(i, err)
-					continue
-				}
-				err := fn(i)
-				lim.release()
-				if err != nil {
-					record(i, err)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break feed
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if first != nil {
-		return first
-	}
-	return ctx.Err()
+	return Stream(ctx, n,
+		func(_ context.Context, i int) (struct{}, error) { return struct{}{}, fn(i) },
+		func(int, struct{}) error { return nil })
 }
 
 // streamResult carries one cell's outcome to the merging coordinator.
@@ -217,98 +127,80 @@ type streamResult[T any] struct {
 	err error
 }
 
-// Stream executes run(ctx, i) for every i in [0, n) in parallel and
-// delivers results to emit strictly in index order, from the calling
-// goroutine. The emitted sequence is byte-identical to sequential
-// execution: on the first error (a cell's, or emit's own), exactly the
-// cells before the failing index have been emitted, and that error is
-// returned after in-flight cells drain. Cancellation likewise yields a
-// contiguous prefix and ctx.Err().
+// Stream executes run(ctx, i) for every i in [0, n) over a pool of
+// limitFrom(ctx) workers (never more than n) and delivers results to
+// emit strictly in index order, from the calling goroutine. The emitted
+// sequence is byte-identical to sequential execution: on the first
+// error (a cell's, or emit's own), exactly the cells before the failing
+// index have been emitted, and that error is returned after in-flight
+// cells drain. Cancellation likewise yields a contiguous prefix and
+// ctx.Err().
 func Stream[T any](ctx context.Context, n int, run func(ctx context.Context, i int) (T, error), emit func(i int, v T) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers := LimitFrom(ctx)
-	if workers > n {
-		workers = n
-	}
+	workers := min(limitFrom(ctx), n)
 	lim := limiterFrom(ctx)
-	if workers <= 1 && lim == nil {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			v, err := run(ctx, i)
-			if err != nil {
-				return err
-			}
-			if err := emit(i, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	var closeDone sync.Once
-	stop := func() { closeDone.Do(func() { close(done) }) }
-	next := make(chan int)
+	// Workers claim indices in order from a shared counter, so once any
+	// index is claimed every lower one already is. A failing worker
+	// stops further claims itself; the coordinator stops them when emit
+	// fails.
+	var (
+		wg      sync.WaitGroup
+		claimed atomic.Int64
+		stopped atomic.Bool
+	)
 	results := make(chan streamResult[T], workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if err := lim.acquire(ctx); err != nil {
-					results <- streamResult[T]{i: i, err: err}
-					continue
+			for !stopped.Load() {
+				i := int(claimed.Add(1) - 1)
+				if i >= n {
+					return
 				}
-				v, err := run(ctx, i)
-				lim.release()
-				results <- streamResult[T]{i: i, v: v, err: err}
+				r := streamResult[T]{i: i}
+				if r.err = lim.acquire(ctx); r.err == nil {
+					r.v, r.err = run(ctx, i)
+					lim.release()
+				}
+				if r.err != nil {
+					stopped.Store(true)
+				}
+				results <- r
 			}
 		}()
 	}
 	go func() {
-	feed:
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-done:
-				break feed
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(next)
 		wg.Wait()
 		close(results)
 	}()
 
 	// Ordered merge: buffer out-of-order completions, emit the
-	// contiguous prefix. The first error at the emission frontier stops
-	// both dispatch and emission; later-index results drain unemitted,
-	// exactly as sequential execution would never have run them.
+	// contiguous prefix. Every index below a failure was claimed before
+	// it, so the frontier still reaches the lowest-index failure, which
+	// stops emission; later-index results drain unemitted, exactly as
+	// sequential execution would never have run them.
 	pending := make(map[int]streamResult[T])
 	nextEmit := 0
 	var streamErr error
 	for r := range results {
 		pending[r.i] = r
-		for {
+		for streamErr == nil {
 			pr, ok := pending[nextEmit]
-			if !ok || streamErr != nil {
+			if !ok {
 				break
 			}
 			delete(pending, nextEmit)
 			if pr.err != nil {
 				streamErr = pr.err
-				stop()
 				break
 			}
 			if err := emit(pr.i, pr.v); err != nil {
 				streamErr = err
-				stop()
+				stopped.Store(true)
 				break
 			}
 			nextEmit++

@@ -49,8 +49,8 @@ type Options struct {
 	// cells stay bounded no matter how many jobs run at once (fair with
 	// Workers rather than multiplicative). Results are merged in
 	// submission order, so payloads and NDJSON streams are byte-identical
-	// to sequential execution. Default GOMAXPROCS; 1 restores fully
-	// sequential intra-job behavior.
+	// to sequential execution. Default GOMAXPROCS; 1 runs one cell at a
+	// time.
 	SweepParallelism int
 	// QueueCap bounds the FIFO queue (default 256).
 	QueueCap int
