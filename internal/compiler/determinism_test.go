@@ -2,11 +2,13 @@ package compiler
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"pcoup/internal/bench"
 	"pcoup/internal/isa"
 	"pcoup/internal/machine"
+	"pcoup/internal/sexpr"
 )
 
 // TestCodegenDeterministic compiles every benchmark several times and
@@ -37,6 +39,41 @@ func TestCodegenDeterministic(t *testing.T) {
 				}
 				if !bytes.Equal(first, buf.Bytes()) {
 					t.Fatalf("%s/%v: compilation is nondeterministic", name, kind)
+				}
+			}
+		}
+	}
+}
+
+// TestCompileFormsBoundedLeavesFormsUnchanged compiles pre-parsed forms
+// of every benchmark (procedure expansion, unrolling, forall) and
+// requires each form to render the same afterwards: callers may hash
+// the forms they hand to the compiler, so the compiler must not rewrite
+// them.
+func TestCompileFormsBoundedLeavesFormsUnchanged(t *testing.T) {
+	cfg := machine.Baseline()
+	for _, name := range bench.Names() {
+		for _, kind := range []bench.SourceKind{bench.Sequential, bench.Threaded} {
+			b, err := bench.Get(name, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forms, err := sexpr.Parse(b.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := make([]string, len(forms))
+			for i, f := range forms {
+				before[i] = f.String()
+			}
+			for _, opts := range []Options{{Mode: Unrestricted, AutoUnroll: 64}, {Mode: SingleCluster, DisableOpt: true}} {
+				if _, _, err := CompileFormsBounded(context.Background(), forms, cfg, opts, ServiceLimits()); err != nil {
+					t.Fatalf("%s/%v %+v: %v", name, kind, opts, err)
+				}
+				for i, f := range forms {
+					if got := f.String(); got != before[i] {
+						t.Fatalf("%s/%v %+v: form %d changed:\nbefore %s\nafter  %s", name, kind, opts, i, before[i], got)
+					}
 				}
 			}
 		}

@@ -87,12 +87,6 @@ func IsResourceLimit(err error) bool {
 // point for untrusted input; Compile remains the trusted-input path with
 // only stack-safety bounds.
 func CompileBounded(ctx context.Context, src string, cfg *machine.Config, opts Options, lim Limits) (*isa.Program, *Diagnostics, error) {
-	if cfg == nil {
-		cfg = machine.Baseline()
-	}
-	if dl, ok := ctx.Deadline(); ok && (lim.Deadline.IsZero() || dl.Before(lim.Deadline)) {
-		lim.Deadline = dl
-	}
 	forms, err := sexpr.ParseLimits(src, sexpr.Limits{
 		MaxBytes: lim.MaxSourceBytes,
 		MaxNodes: lim.MaxNodes,
@@ -100,6 +94,22 @@ func CompileBounded(ctx context.Context, src string, cfg *machine.Config, opts O
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	return CompileFormsBounded(ctx, forms, cfg, opts, lim)
+}
+
+// CompileFormsBounded is CompileBounded for forms the caller has
+// already parsed under lim's source bounds (MaxSourceBytes, MaxNodes,
+// MaxDepth), so a caller that needs the parse for something else — a
+// content hash — does not parse twice. The compile bounds (threads, IR
+// ops, memory words, deadline) apply as in CompileBounded. The forms
+// are read, never modified.
+func CompileFormsBounded(ctx context.Context, forms []*sexpr.Node, cfg *machine.Config, opts Options, lim Limits) (*isa.Program, *Diagnostics, error) {
+	if cfg == nil {
+		cfg = machine.Baseline()
+	}
+	if dl, ok := ctx.Deadline(); ok && (lim.Deadline.IsZero() || dl.Before(lim.Deadline)) {
+		lim.Deadline = dl
 	}
 	return compileForms(forms, cfg, opts, &lim)
 }

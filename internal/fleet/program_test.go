@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"pcoup/internal/service"
 )
@@ -110,5 +112,49 @@ func TestProgramThroughGateway(t *testing.T) {
 	bfinal := waitJob(t, gwts.URL, slow.ID)
 	if bfinal.State != service.JobBudgetExceeded {
 		t.Fatalf("state %s (%s), want budget_exceeded", bfinal.State, bfinal.Error)
+	}
+}
+
+// TestProgramCompilesOncePerProcess runs a gateway and two backends in
+// one process, so they share the process's compile table: a cold
+// program compiles once (the gateway's validation) and the backend's
+// validation and execution reuse that compile; a reformatted
+// resubmission costs one table hit at the gateway and no backend
+// compile, because the owning backend's result cache answers it.
+func TestProgramCompilesOncePerProcess(t *testing.T) {
+	b1, _, _ := startBackend(t, service.Options{Workers: 2})
+	b2, _, _ := startBackend(t, service.Options{Workers: 2})
+	_, gwts := startGateway(t, []string{b1, b2}, nil)
+	// A fresh program name per run keeps the cold submission cold
+	// under -count: the compile table outlives each test.
+	src := strings.Replace(fleetTestProgram, "(program fleetsmoke", fmt.Sprintf("(program compileonce%d", time.Now().UnixNano()), 1)
+
+	run := func(source string) service.JobView {
+		t.Helper()
+		status, view := postProgram(t, gwts.URL, service.ProgramRequest{ProgramSpec: service.ProgramSpec{Source: source}})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit status %d", status)
+		}
+		final := waitJob(t, gwts.URL, view.ID)
+		if final.State != service.JobDone {
+			t.Fatalf("state %s (%s)", final.State, final.Error)
+		}
+		return final
+	}
+
+	l0, f0 := service.CompileTableStats()
+	cold := run(src)
+	l1, f1 := service.CompileTableStats()
+	if lookups, fills := l1-l0, f1-f0; lookups != 3 || fills != 1 {
+		t.Fatalf("cold program: %d lookups, %d compiles; want 3 lookups (gateway, backend, worker), 1 compile", lookups, fills)
+	}
+
+	again := run("; again\n" + strings.ReplaceAll(src, "\n", "\n\t"))
+	l2, f2 := service.CompileTableStats()
+	if lookups, fills := l2-l1, f2-f1; lookups != 1 || fills != 0 {
+		t.Fatalf("resubmission: %d lookups, %d compiles; want the gateway's 1 lookup, 0 compiles", lookups, fills)
+	}
+	if !again.CacheHit || string(again.Result) != string(cold.Result) {
+		t.Fatalf("resubmission: hit=%v, payload equal=%v; want a byte-identical cache hit", again.CacheHit, string(again.Result) == string(cold.Result))
 	}
 }

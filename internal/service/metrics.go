@@ -234,6 +234,16 @@ func (m *Metrics) WriteText(w io.Writer, g Gauges) {
 		fmt.Fprintf(w, "pcserved_cache_hit_ratio %.6f\n", float64(g.CacheHits)/float64(total))
 	}
 
+	// The compile table is process-wide: where a gateway and backends
+	// share a process, every one of them reports the same counts.
+	lookups, fills := CompileTableStats()
+	fmt.Fprintf(w, "# HELP pcserved_program_compiles_total Program compiles run in this process (compile table misses).\n")
+	fmt.Fprintf(w, "# TYPE pcserved_program_compiles_total counter\n")
+	fmt.Fprintf(w, "pcserved_program_compiles_total %d\n", fills)
+	fmt.Fprintf(w, "# HELP pcserved_program_compile_hits_total Program compiles served from this process's compile table.\n")
+	fmt.Fprintf(w, "# TYPE pcserved_program_compile_hits_total counter\n")
+	fmt.Fprintf(w, "pcserved_program_compile_hits_total %d\n", lookups-fills)
+
 	if len(m.tenantJobs) > 0 {
 		fmt.Fprintf(w, "# HELP pcserved_tenant_jobs_total Submissions per tenant.\n")
 		fmt.Fprintf(w, "# TYPE pcserved_tenant_jobs_total counter\n")

@@ -24,6 +24,12 @@ import (
 // and simulated under the strict resource limits of
 // compiler.ServiceLimits plus a cycle budget, and every submission is
 // validated by a bounded compile before it is accepted.
+//
+// A spec parses its source once: the first call that needs the
+// canonical source hash (validation, the content key, routing) parses
+// under the service's source bounds and remembers the hash, and the
+// compiles go through the process-wide compile table (compiletable.go),
+// so a process compiles a program once while the table holds it.
 type ProgramSpec struct {
 	// Source is the program text (s-expression surface syntax).
 	Source string `json:"source"`
@@ -40,6 +46,10 @@ type ProgramSpec struct {
 	// for race-free programs (the interpreter executes forks
 	// sequentially).
 	Verify bool `json:"verify,omitempty"`
+
+	// sha is the canonical source hash of hashed, the Source text it was
+	// computed from (see canonicalSHA).
+	sha, hashed string
 }
 
 // ProgramError marks a program submission rejected for what it contains
@@ -53,7 +63,8 @@ func (e *ProgramError) Error() string { return "program: " + e.Err.Error() }
 func (e *ProgramError) Unwrap() error { return e.Err }
 
 // programCompileTimeout bounds the submission-time validation compile.
-// The worker's execution compile runs under the job's own deadline.
+// The worker's execution compile, on a compile-table miss, runs under
+// the job's own deadline.
 const programCompileTimeout = 5 * time.Second
 
 // DefaultProgramCycles is the simulation cycle budget applied to
@@ -84,14 +95,44 @@ func (p *ProgramSpec) normalize() error {
 }
 
 // compiles checks that the source compiles under the service limits
-// against the resolved machine (nil = baseline).
+// against the resolved machine (nil = baseline), within
+// programCompileTimeout. Every failure is a ProgramError (HTTP 422). A
+// success leaves the program in the compile table, where the worker
+// that runs the job (or, behind a gateway in the same process, the
+// backend's own validation) finds it, and where a resubmission's
+// validation finds it while it is among the last compileTableSize
+// programs.
 func (p *ProgramSpec) compiles(cfg *machine.Config) error {
+	sha, forms, err := p.canonicalSHA()
+	if err != nil {
+		return &ProgramError{Err: err}
+	}
 	lim := compiler.ServiceLimits()
 	lim.Deadline = time.Now().Add(programCompileTimeout)
-	if _, _, err := compiler.CompileBounded(context.Background(), p.Source, cfg, p.compilerOptions(), lim); err != nil {
+	if _, err := p.compile(context.Background(), sha, forms, cfg, lim); err != nil {
 		return &ProgramError{Err: err}
 	}
 	return nil
+}
+
+// compile returns the program for (sha, cfg) from the compile table
+// (cfg nil = baseline), compiling it under lim on a miss: from forms
+// when the caller holds the parse that produced sha, else from the
+// source.
+func (p *ProgramSpec) compile(ctx context.Context, sha string, forms []*sexpr.Node, cfg *machine.Config, lim compiler.Limits) (*isa.Program, error) {
+	msha, err := machineSHA(cfg)
+	if err != nil {
+		return nil, err
+	}
+	opts := p.compilerOptions()
+	return programs.compile(compileKey{source: sha, machine: msha, opts: opts}, func() (*isa.Program, error) {
+		if forms == nil {
+			prog, _, err := compiler.CompileBounded(ctx, p.Source, cfg, opts, lim)
+			return prog, err
+		}
+		prog, _, err := compiler.CompileFormsBounded(ctx, forms, cfg, opts, lim)
+		return prog, err
+	})
 }
 
 // compilerOptions maps the spec's knobs to compiler options. Call after
@@ -104,26 +145,34 @@ func (p *ProgramSpec) compilerOptions() compiler.Options {
 	}
 }
 
-// canonicalSourceSHA parses the source under the service's parse limits
-// and hashes the re-rendered forms, so formatting and comments do not
-// fragment the cache: two submissions of the same program share one
-// cache entry and one fleet routing home.
-func canonicalSourceSHA(src string) (string, error) {
+// canonicalSHA returns the hash of the source's canonical rendering, so
+// formatting and comments do not fragment the caches: two submissions
+// of the same program share one result-cache entry, one compile-table
+// entry and one fleet routing home. The first call for a Source text
+// parses it under the service's parse limits (the raw-byte, node and
+// depth bounds run on every submitted text) and returns the forms with
+// the hash; later calls return the remembered hash and nil forms. The
+// forms are not kept: a queued job holds only its source.
+func (p *ProgramSpec) canonicalSHA() (string, []*sexpr.Node, error) {
+	if p.sha != "" && p.hashed == p.Source {
+		return p.sha, nil, nil
+	}
 	lim := compiler.ServiceLimits()
-	forms, err := sexpr.ParseLimits(src, sexpr.Limits{
+	forms, err := sexpr.ParseLimits(p.Source, sexpr.Limits{
 		MaxBytes: lim.MaxSourceBytes,
 		MaxNodes: lim.MaxNodes,
 		MaxDepth: lim.MaxDepth,
 	})
 	if err != nil {
-		return "", &ProgramError{Err: err}
+		return "", nil, err
 	}
 	h := sha256.New()
 	for _, f := range forms {
 		h.Write([]byte(f.String()))
 		h.Write([]byte{'\n'})
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	p.sha, p.hashed = hex.EncodeToString(h.Sum(nil)), p.Source
+	return p.sha, forms, nil
 }
 
 // ProgramContentKey is the exported program cache key: the SHA-256
@@ -132,10 +181,16 @@ func canonicalSourceSHA(src string) (string, error) {
 // on it so identical resubmissions land on the same backend and find
 // its cache hot.
 func ProgramContentKey(p *ProgramSpec, cfg *machine.Config, o SimOptions) (string, error) {
-	src, err := canonicalSourceSHA(p.Source)
+	sha, _, err := p.canonicalSHA()
 	if err != nil {
-		return "", err
+		return "", &ProgramError{Err: err}
 	}
+	return p.contentKey(sha, cfg, o)
+}
+
+// contentKey is ProgramContentKey for a canonical source hash already
+// in hand.
+func (p *ProgramSpec) contentKey(sha string, cfg *machine.Config, o SimOptions) (string, error) {
 	msha, err := machineSHA(cfg)
 	if err != nil {
 		return "", err
@@ -145,7 +200,7 @@ func ProgramContentKey(p *ProgramSpec, cfg *machine.Config, o SimOptions) (strin
 		mode = string(experiments.COUPLED)
 	}
 	return keyDoc{
-		Kind: "program", Mode: mode, SourceSHA: src, MachineSHA: msha, Options: o,
+		Kind: "program", Mode: mode, SourceSHA: sha, MachineSHA: msha, Options: o,
 		Extra: fmt.Sprintf("opt=%t,unroll=%d,verify=%t", !p.DisableOpt, p.AutoUnroll, p.Verify),
 	}.hash(), nil
 }
@@ -169,11 +224,18 @@ type ProgramResult struct {
 	Verified bool `json:"verified,omitempty"`
 }
 
-// runProgramJob compiles and simulates one untrusted program under the
-// service limits and the cycle budget, consulting the cache first.
+// runProgramJob simulates one untrusted program under the service
+// limits and the cycle budget, consulting the result cache first. The
+// program normally comes from the compile table, filled by this
+// process's validation of the same submission; after an eviction it is
+// compiled again, under the job's deadline.
 func (s *Server) runProgramJob(ctx context.Context, job *Job) (json.RawMessage, error) {
 	p := job.spec.Program
-	key, err := ProgramContentKey(p, job.cfg, job.spec.Options)
+	sha, forms, err := p.canonicalSHA()
+	if err != nil {
+		return nil, &ProgramError{Err: err}
+	}
+	key, err := p.contentKey(sha, job.cfg, job.spec.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -186,10 +248,7 @@ func (s *Server) runProgramJob(ctx context.Context, job *Job) (json.RawMessage, 
 	if cfg == nil {
 		cfg = machine.Baseline()
 	}
-	// Recompile at execution (normalize compiled for validation only and
-	// discarded the binary — jobs may sit queued or journaled across a
-	// restart, and cached hits skip this entirely).
-	prog, _, err := compiler.CompileBounded(ctx, p.Source, cfg, p.compilerOptions(), compiler.ServiceLimits())
+	prog, err := p.compile(ctx, sha, forms, cfg, compiler.ServiceLimits())
 	if err != nil {
 		if compiler.IsResourceLimit(err) {
 			return nil, &ProgramError{Err: err}

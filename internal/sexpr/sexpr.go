@@ -333,10 +333,14 @@ func (l *lexer) parseNode() (*Node, error) {
 		if tok == "" {
 			return nil, l.errf("invalid character %q", c)
 		}
-		if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
-			return &Node{Kind: KInt, Int: n, Line: line, Col: col}, nil
-		}
+		// Classify before converting: a failed strconv parse allocates
+		// its *NumError, and most tokens are symbols. Every token
+		// ParseInt accepts looks numeric, so the guard changes nothing
+		// about which tokens read as numbers.
 		if looksNumeric(tok) {
+			if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
+				return &Node{Kind: KInt, Int: n, Line: line, Col: col}, nil
+			}
 			if f, err := strconv.ParseFloat(tok, 64); err == nil {
 				return &Node{Kind: KFloat, Float: f, Line: line, Col: col}, nil
 			}

@@ -1,6 +1,7 @@
 package sexpr
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -155,5 +156,43 @@ func TestFloatPrintKeepsTag(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Errorf("integral floats must print with a marker: %v", err)
+	}
+}
+
+// TestParseAllocs bounds the reader's allocations on a symbol-heavy
+// source to one Node per token plus the doubling growth of each list's
+// child slice: a symbol must not pay for a failed number parse.
+func TestParseAllocs(t *testing.T) {
+	src := strings.Repeat(`
+(def (step acc idx)
+  (set acc (+ acc (aref table idx)))
+  (if (< acc limit) (aset table idx (* acc scale)) (set overflow true))
+  (while (> acc zero) (set acc (- acc step-size))))`, 8)
+	forms, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growth := func(k int) int { return bits.Len(uint(k-1)) + 1 } // appends into nil: caps 1, 2, 4, ...
+	want := growth(len(forms))
+	var count func(n *Node)
+	count = func(n *Node) {
+		want++
+		if len(n.List) > 0 {
+			want += growth(len(n.List))
+		}
+		for _, c := range n.List {
+			count(c)
+		}
+	}
+	for _, f := range forms {
+		count(f)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if slack := 8; int(allocs) > want+slack {
+		t.Fatalf("Parse: %.0f allocs, want <= %d (nodes and list growth) + %d", allocs, want, slack)
 	}
 }
