@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"pcoup/internal/service"
 )
 
 // Metrics aggregates the gateway's counters. Live gauges (backend
@@ -290,6 +292,16 @@ func (m *Metrics) WriteText(w io.Writer, g FleetGauges) {
 	for _, class := range sortedKeys(m.shed) {
 		fmt.Fprintf(w, "pcfleet_shed_total{class=%q} %d\n", class, m.shed[class])
 	}
+
+	// The compile table is process-wide: these count the gateway's own
+	// validation compiles, and any backend's that share its process.
+	lookups, fills := service.CompileTableStats()
+	fmt.Fprintf(w, "# HELP pcfleet_program_compiles_total Program compiles run in this process (compile table misses).\n")
+	fmt.Fprintf(w, "# TYPE pcfleet_program_compiles_total counter\n")
+	fmt.Fprintf(w, "pcfleet_program_compiles_total %d\n", fills)
+	fmt.Fprintf(w, "# HELP pcfleet_program_compile_hits_total Program compiles served from this process's compile table.\n")
+	fmt.Fprintf(w, "# TYPE pcfleet_program_compile_hits_total counter\n")
+	fmt.Fprintf(w, "pcfleet_program_compile_hits_total %d\n", lookups-fills)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

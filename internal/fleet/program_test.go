@@ -120,7 +120,8 @@ func TestProgramThroughGateway(t *testing.T) {
 // program compiles once (the gateway's validation) and the backend's
 // validation and execution reuse that compile; a reformatted
 // resubmission costs one table hit at the gateway and no backend
-// compile, because the owning backend's result cache answers it.
+// compile, because the owning backend's result cache answers it. The
+// gateway's /metrics reports the table's counters.
 func TestProgramCompilesOncePerProcess(t *testing.T) {
 	b1, _, _ := startBackend(t, service.Options{Workers: 2})
 	b2, _, _ := startBackend(t, service.Options{Workers: 2})
@@ -147,6 +148,13 @@ func TestProgramCompilesOncePerProcess(t *testing.T) {
 	l1, f1 := service.CompileTableStats()
 	if lookups, fills := l1-l0, f1-f0; lookups != 3 || fills != 1 {
 		t.Fatalf("cold program: %d lookups, %d compiles; want 3 lookups (gateway, backend, worker), 1 compile", lookups, fills)
+	}
+	// The gateway's /metrics reports the same process-wide table.
+	if got := metricValue(t, gwts.URL, "pcfleet_program_compiles_total"); got != float64(f1) {
+		t.Errorf("pcfleet_program_compiles_total %v, compile table reports %d compiles", got, f1)
+	}
+	if got := metricValue(t, gwts.URL, "pcfleet_program_compile_hits_total"); got != float64(l1-f1) {
+		t.Errorf("pcfleet_program_compile_hits_total %v, compile table reports %d hits", got, l1-f1)
 	}
 
 	again := run("; again\n" + strings.ReplaceAll(src, "\n", "\n\t"))

@@ -57,8 +57,17 @@ func runOnce(tb testing.TB, cfg *machine.Config, prog *isa.Program, opts ...sim.
 
 // BenchmarkSimulator measures the cycle kernel on matrix under Coupled
 // mode (multithreaded issue, writeback arbitration, memory traffic).
-func BenchmarkSimulator(b *testing.B) {
-	cfg, prog := compileFor(b, "matrix", bench.Threaded, compiler.Unrestricted)
+func BenchmarkSimulator(b *testing.B) { benchCoupled(b, "matrix") }
+
+// BenchmarkSimulatorLUD measures the cycle kernel on lud under Coupled
+// mode: 477 threads spawn over the run but at most 9 are live at once, so
+// any per-cycle cost that grows with threads ever spawned shows here.
+func BenchmarkSimulatorLUD(b *testing.B) { benchCoupled(b, "lud") }
+
+// benchCoupled times complete runs of one benchmark under Coupled mode
+// on the baseline machine.
+func benchCoupled(b *testing.B, benchName string) {
+	cfg, prog := compileFor(b, benchName, bench.Threaded, compiler.Unrestricted)
 	cycles := runOnce(b, cfg, prog) // warm the memory-image pool
 	b.ReportAllocs()
 	var before, after runtime.MemStats

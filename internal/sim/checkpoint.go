@@ -44,9 +44,10 @@ type Checkpoint struct {
 	IssuedByUnit     []int64                     `json:"issued_by_unit"`
 	WritebackRetries int64                       `json:"writeback_retries"`
 
+	// Threads lists every thread ever spawned, by ascending ID.
 	Threads []threadState `json:"threads"`
 	// PendingSpawns lists (by thread ID, in spawn order) threads created
-	// this cycle and not yet activated.
+	// this cycle and not yet activated; they are the newest IDs.
 	PendingSpawns []int `json:"pending_spawns,omitempty"`
 
 	Writebacks []wbState `json:"writebacks,omitempty"`
@@ -148,11 +149,19 @@ type attribState struct {
 	WaitRegs map[string]int64 `json:"wait_regs"`
 }
 
+// thread returns the thread with the given ID, or nil if there is none.
+func (s *Sim) thread(id int) *Thread {
+	if id < 0 || id >= len(s.byID) {
+		return nil
+	}
+	return s.byID[id]
+}
+
 // validateTag checks a restored memory tag against the loaded program:
 // the thread must exist and the (segment, word, slot) coordinates must
 // name a real op.
-func (s *Sim) validateTag(ts memsys.Tag, byID map[int]*Thread) error {
-	if byID[ts.Thread] == nil {
+func (s *Sim) validateTag(ts memsys.Tag) error {
+	if s.thread(ts.Thread) == nil {
 		return fmt.Errorf("sim: checkpoint references unknown thread %d", ts.Thread)
 	}
 	if ts.SegIdx < 0 || ts.SegIdx >= len(s.prog.Segments) {
@@ -220,11 +229,12 @@ func (s *Sim) Snapshot() (*Checkpoint, error) {
 
 		Interconnect: s.arb.Stats(),
 	}
-	for _, t := range s.threads {
+	// Every thread ever spawned, by ID; the pending spawns are the newest
+	// IDs, so they come last.
+	for _, t := range s.byID {
 		ck.Threads = append(ck.Threads, snapshotThread(t))
 	}
 	for _, t := range s.pendingSpawns {
-		ck.Threads = append(ck.Threads, snapshotThread(t))
 		ck.PendingSpawns = append(ck.PendingSpawns, t.ID)
 	}
 	// Settle the sort drainWritebacks deferred (when it skipped a cycle
@@ -271,12 +281,7 @@ func (s *Sim) Snapshot() (*Checkpoint, error) {
 		if s.dyn.pref != nil {
 			ds.Prefetch = s.dyn.pref.State()
 		}
-		for _, t := range s.threads {
-			if t.dyn != nil {
-				ds.Threads = append(ds.Threads, snapshotDynThread(t))
-			}
-		}
-		for _, t := range s.pendingSpawns {
+		for _, t := range s.byID {
 			if t.dyn != nil {
 				ds.Threads = append(ds.Threads, snapshotDynThread(t))
 			}
@@ -351,14 +356,32 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		s.attrib = nil
 	}
 
-	pending := make(map[int]bool, len(ck.PendingSpawns))
-	for _, id := range ck.PendingSpawns {
-		pending[id] = true
+	// The kernel keeps its live list in ID order and arbitrates by it, so
+	// a checkpoint lists every spawned thread by ascending ID, with
+	// priority equal to the ID, and its pending spawns are the newest.
+	if len(ck.Threads) != ck.NextTID {
+		return fmt.Errorf("sim: checkpoint has %d threads, next_tid %d", len(ck.Threads), ck.NextTID)
+	}
+	firstPending := ck.NextTID - len(ck.PendingSpawns)
+	for j, id := range ck.PendingSpawns {
+		if id != firstPending+j {
+			return fmt.Errorf("sim: checkpoint pending spawn %d is not among the newest threads", id)
+		}
 	}
 	s.threads = nil
 	s.pendingSpawns = nil
-	byID := make(map[int]*Thread, len(ck.Threads))
-	for _, ts := range ck.Threads {
+	s.byID = make([]*Thread, 0, len(ck.Threads))
+	for i, ts := range ck.Threads {
+		if ts.ID < 0 || ts.ID >= ck.NextTID {
+			return fmt.Errorf("sim: checkpoint thread %d outside next_tid %d", ts.ID, ck.NextTID)
+		}
+		if i > 0 && ts.ID <= ck.Threads[i-1].ID {
+			return fmt.Errorf("sim: checkpoint thread %d follows thread %d: threads must be in ascending ID order",
+				ts.ID, ck.Threads[i-1].ID)
+		}
+		if ts.Priority != ts.ID {
+			return fmt.Errorf("sim: checkpoint thread %d has priority %d: priority must equal the thread ID", ts.ID, ts.Priority)
+		}
 		if ts.SegIdx < 0 || ts.SegIdx >= len(s.prog.Segments) {
 			return fmt.Errorf("sim: checkpoint thread %d has segment %d out of range", ts.ID, ts.SegIdx)
 		}
@@ -373,31 +396,23 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 			storesOut: ts.StoresOut, syncLoadsOut: ts.SyncLoadsOut,
 			stalls: cloneBreakdown(ts.Stalls),
 		}
+		t.pend = pendMask(t.word(), t.issued)
 		if err := t.Regs.SetState(ts.Regs); err != nil {
 			return fmt.Errorf("sim: thread %d: %w", ts.ID, err)
 		}
-		if byID[t.ID] != nil {
-			return fmt.Errorf("sim: checkpoint has duplicate thread %d", t.ID)
-		}
-		byID[t.ID] = t
-		if pending[t.ID] {
+		s.byID = append(s.byID, t)
+		switch {
+		case i >= firstPending:
 			s.pendingSpawns = append(s.pendingSpawns, t)
-		} else {
+		case !t.Halted:
 			s.threads = append(s.threads, t)
 		}
-	}
-	s.byID = make([]*Thread, ck.NextTID)
-	for id, t := range byID {
-		if id < 0 || id >= ck.NextTID {
-			return fmt.Errorf("sim: checkpoint thread %d outside next_tid %d", id, ck.NextTID)
-		}
-		s.byID[id] = t
 	}
 
 	s.wbq = nil
 	s.wbqSorted = 0
 	for _, ws := range ck.Writebacks {
-		t := byID[ws.Thread]
+		t := s.thread(ws.Thread)
 		if t == nil {
 			return fmt.Errorf("sim: checkpoint writeback references unknown thread %d", ws.Thread)
 		}
@@ -411,7 +426,7 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		return err
 	}
 	if err := s.mem.ForEachRequest(func(r *memsys.Request) error {
-		return s.validateTag(r.Tag, byID)
+		return s.validateTag(r.Tag)
 	}); err != nil {
 		return err
 	}
@@ -454,7 +469,7 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		s.dyn.stats = ck.Dyn.Stats
 		s.dyn.stats.Prefetch = nil
 		for _, dts := range ck.Dyn.Threads {
-			t := byID[dts.Thread]
+			t := s.thread(dts.Thread)
 			if t == nil {
 				return fmt.Errorf("sim: checkpoint window references unknown thread %d", dts.Thread)
 			}
@@ -483,7 +498,8 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 			for _, u := range dts.Undo {
 				t.dyn.undo = append(t.dyn.undo, specUndo{reg: u.Reg, old: u.Old, wbSeq: u.WbSeq})
 			}
-			// Re-alias the thread's issue bitmap to the restored head entry.
+			// Re-alias the thread's issue bitmap (and rebuild its pending
+			// slots) from the restored head entry.
 			s.syncHead(t)
 		}
 	}

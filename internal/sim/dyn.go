@@ -132,12 +132,13 @@ func (s *Sim) dynPred() dynsched.Predictor {
 	return s.dyn.pred
 }
 
-// syncHead refreshes the thread's architectural view (IP, issued bitmap)
-// from the window's head entry.
+// syncHead refreshes the thread's architectural view (IP, issued bitmap,
+// pending slots) from the window's head entry.
 func (s *Sim) syncHead(t *Thread) {
 	if h := t.dyn.win.Head(); h != nil {
 		t.IP = h.IP
 		t.issued = h.Issued
+		t.pend = pendMask(t.word(), t.issued)
 	}
 }
 
@@ -145,13 +146,18 @@ func (s *Sim) syncHead(t *Thread) {
 // threads in arbitration order, and within a thread scans window
 // entries oldest-first for a ready, hazard-free operation.
 func (s *Sim) issueDyn() {
-	order := s.threadOrder()
+	n, rot := len(s.threads), s.rotation()
 	for slot := range s.units {
 		if s.inj != nil && s.inj.UnitDown(slot, s.cycle) {
 			continue
 		}
-		for _, ti := range order {
+		for i, ti := 0, rot; i < n; i, ti = i+1, ti+1 {
+			if ti == n {
+				ti = 0
+			}
 			t := s.threads[ti]
+			// A thread that halted on an earlier unit this cycle keeps
+			// unissued window entries; it is listed until the cycle ends.
 			if t.stalled || t.Halted || t.dyn == nil {
 				continue
 			}
@@ -255,6 +261,8 @@ func (s *Sim) issueDynOp(t *Thread, k int, e *dynsched.Entry, slot int, op *isa.
 	e.Issued[slot] = true
 	if k > 0 {
 		s.dyn.stats.WindowIssued++
+	} else {
+		t.pend &^= 1 << slot // the head aliases t.issued
 	}
 	vals := s.commitIssue(t, slot, k, op)
 
@@ -486,17 +494,11 @@ func (s *Sim) classifyDyn(t *Thread) (cause StallCause, slot int, reg isa.RegRef
 	// draining, so the window is charged.
 	for _, e := range d.win.Entries {
 		w := &t.Seg.Instrs[e.IP]
-		pending := false
-		for sl, op := range w.Ops {
-			if op != nil && !e.Issued[sl] {
-				pending = true
-				break
-			}
-		}
-		if !pending {
+		pend := pendMask(w, e.Issued)
+		if pend == 0 {
 			continue
 		}
-		cause, sl, wreg, hasReg, blocked := s.classifyWord(t, w, e.Issued)
+		cause, sl, wreg, hasReg, blocked := s.classifyWord(t, w, pend)
 		if blocked {
 			return cause, sl, wreg, hasReg
 		}

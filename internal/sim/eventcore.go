@@ -14,11 +14,15 @@ package sim
 // Exactness argument, per input of step:
 //
 //   - Issue: issueCoupled/issueLockStep read only registers, presence
-//     bits, thread counters, and word frontiers. A quiet cycle changes
-//     none of them, and the exhaustive per-unit scan found no ready
-//     (unit, thread) pair, so no arbitration order (including the
-//     round-robin rotation, which varies by cycle) could issue anything
-//     on any skipped cycle.
+//     bits, thread counters, word frontiers, and the issue state kept
+//     with them: the live thread list and each thread's pending-slot
+//     mask (pend). A quiet cycle changes none of them — nothing issues,
+//     so no pend bit clears, no frontier moves and no thread halts, and
+//     a pending spawn forces a zero budget, so the live list is the one
+//     the quiet step issued from. That step's per-unit scan of every
+//     live thread's pending slots found no ready (unit, thread) pair, so
+//     no arbitration order (including the round-robin rotation, which
+//     varies by cycle) could issue anything on any skipped cycle.
 //   - Memory: memsys.SkipBudget bounds the jump to ticks with no
 //     arrival, no parked-queue service, no delayed-reactivation
 //     promotion, and no bank-queue start; memsys.SkipTicks ages the

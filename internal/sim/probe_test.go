@@ -170,7 +170,7 @@ func TestBusyCellsPayNothing(t *testing.T) {
 }
 
 // TestMemoryBoundKeepsSkipWin: lud on the statistical slow memory is the
-// event core's headline case (~3.8x over ticking in BENCH_sim.json).
+// event core's headline case (~1.8x over ticking in BENCH_sim.json).
 // That win is the skip fraction: ~85% of its cycles are provably idle
 // and jumped over. The adaptive fallback must not erode it — memory
 // activity re-arms probing before every idle window.
@@ -186,7 +186,7 @@ func TestMemoryBoundKeepsSkipWin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if frac := float64(s.skipped) / float64(res.Cycles); frac < 0.8 {
-		t.Errorf("skip fraction = %.3f (%d of %d cycles), want >= 0.8 — the ~3.8x event-core win depends on it",
+		t.Errorf("skip fraction = %.3f (%d of %d cycles), want >= 0.8 — the event core's win depends on it",
 			frac, s.skipped, res.Cycles)
 	}
 }

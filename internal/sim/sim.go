@@ -10,6 +10,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"pcoup/internal/faults"
@@ -108,9 +109,14 @@ type Sim struct {
 	mem   *memsys.Memory
 	arb   *interconnect.Arbiter
 
+	// threads is the live list: activated threads not yet halted, in
+	// spawn (= priority) order. activateSpawns drops the halted ones once
+	// per cycle, at the start of step, so a thread that halts mid-cycle
+	// stays listed until the cycle ends.
 	threads []*Thread
-	// byID maps thread ID -> thread; IDs are dense spawn-order indices,
-	// so a slice lookup resolves memory-completion tags.
+	// byID holds every thread ever spawned, indexed by ID; IDs are dense
+	// spawn-order indices, so a slice lookup resolves memory-completion
+	// tags. Results and checkpoints read it.
 	byID    []*Thread
 	nextTID int
 
@@ -124,10 +130,8 @@ type Sim struct {
 
 	// Per-cycle scratch buffers, reused across cycles so the steady-state
 	// kernel allocates nothing.
-	orderScratch []int
-	rotScratch   []int
-	busyScratch  []bool
-	valScratch   []isa.Value
+	busyScratch []bool
+	valScratch  []isa.Value
 
 	// reqFree recycles memsys.Request objects: a request completes
 	// exactly once (via mem.Tick), after which nothing references it, so
@@ -388,13 +392,27 @@ func (t *Thread) advanceFromStart() bool {
 	return t.advance()
 }
 
+// activateSpawns begins a cycle's issue state: it drops the threads that
+// halted last cycle from the live list and appends the spawns created
+// then (a spawn with no code is born halted and never listed).
 func (s *Sim) activateSpawns() {
-	s.threads = append(s.threads, s.pendingSpawns...)
+	live := s.threads[:0]
+	for _, t := range s.threads {
+		if !t.Halted {
+			live = append(live, t)
+		}
+	}
+	for _, t := range s.pendingSpawns {
+		if !t.Halted {
+			live = append(live, t)
+		}
+	}
+	s.threads = live
 	s.pendingSpawns = s.pendingSpawns[:0]
 }
 
 // activeCount returns the number of unhalted threads (including spawns
-// activating next cycle).
+// activating next cycle, halted or not).
 func (s *Sim) activeCount() int {
 	n := len(s.pendingSpawns)
 	for _, t := range s.threads {
@@ -553,7 +571,6 @@ func (s *Sim) deadlock() error {
 			stall += fmt.Sprintf(" on %s", reg)
 		}
 		causes = append(causes, fmt.Sprintf("t%d=%s", t.ID, stall))
-		w := t.word()
 		desc := fmt.Sprintf("thread %d (%s) pc=%d [stall: %s]", t.ID, t.Seg.Name, t.IP, stall)
 		// Name the blocking memory word, if the thread is waiting on one.
 		if state, addr := s.mem.FindWaitAddr(func(tag memsys.Tag) bool {
@@ -561,21 +578,17 @@ func (s *Sim) deadlock() error {
 		}); state == memsys.WaitParked {
 			desc += fmt.Sprintf(" [waiting addr %d]", addr)
 		}
-		if w != nil {
-			for slot, op := range w.Ops {
-				if op == nil || (slot < len(t.issued) && t.issued[slot]) {
-					continue
+		for m := t.pend; m != 0; m &= m - 1 {
+			op := t.Seg.Instrs[t.IP].Ops[bits.TrailingZeros64(m)]
+			desc += fmt.Sprintf("; waiting op %s", op)
+			for _, src := range op.Srcs {
+				if src.Kind == isa.OperandReg && !t.Regs.Valid(src.Reg) {
+					desc += fmt.Sprintf(" [src %s invalid]", src.Reg)
 				}
-				desc += fmt.Sprintf("; waiting op %s", op)
-				for _, src := range op.Srcs {
-					if src.Kind == isa.OperandReg && !t.Regs.Valid(src.Reg) {
-						desc += fmt.Sprintf(" [src %s invalid]", src.Reg)
-					}
-				}
-				for _, d := range op.Dests {
-					if !t.Regs.Valid(d) {
-						desc += fmt.Sprintf(" [dst %s pending]", d)
-					}
+			}
+			for _, d := range op.Dests {
+				if !t.Regs.Valid(d) {
+					desc += fmt.Sprintf(" [dst %s pending]", d)
 				}
 			}
 		}
@@ -654,7 +667,7 @@ func (s *Sim) step() {
 			}
 			continue
 		}
-		if !t.wordDone() {
+		if t.pend != 0 {
 			continue
 		}
 		if !t.advance() {
@@ -692,15 +705,8 @@ func (s *Sim) step() {
 // ignored: a fill completes on its own schedule, so a fill-blocked thread
 // must keep getting scanned.
 func (s *Sim) anyReady(t *Thread) bool {
-	w := t.word()
-	if w == nil {
-		return false
-	}
-	for slot, op := range w.Ops {
-		if op == nil || (slot < len(t.issued) && t.issued[slot]) {
-			continue
-		}
-		if s.ready(t, op) {
+	for m := t.pend; m != 0; m &= m - 1 {
+		if s.ready(t, t.Seg.Instrs[t.IP].Ops[bits.TrailingZeros64(m)]) {
 			return true
 		}
 	}
@@ -807,34 +813,15 @@ func (s *Sim) drainWritebacks() bool {
 	return true
 }
 
-// threadOrder returns thread indices in arbitration order for this cycle.
-// The returned slice is scratch owned by the Sim, valid until the next
-// call.
-func (s *Sim) threadOrder() []int {
-	order := s.orderScratch[:0]
-	for i := range s.threads {
-		if !s.threads[i].Halted {
-			order = append(order, i)
-		}
+// rotation returns the index into s.threads at which this cycle's
+// arbitration order starts: 0 under priority arbitration, the cycle
+// number modulo the live count under round-robin. Issue visits
+// s.threads from there, wrapping around.
+func (s *Sim) rotation() int {
+	if s.cfg.Arbitration == machine.RoundRobinArbitration && len(s.threads) > 1 {
+		return int(s.cycle) % len(s.threads)
 	}
-	s.orderScratch = order
-	// Threads are appended in spawn order and Priority == spawn order, so
-	// order is already priority-sorted; the insertion sort below is a
-	// guard for future priority schemes and costs one pass when sorted.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && s.threads[order[j]].Priority < s.threads[order[j-1]].Priority; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	if s.cfg.Arbitration == machine.RoundRobinArbitration && len(order) > 1 {
-		rot := int(s.cycle) % len(order)
-		rotated := append(s.rotScratch[:0], order[rot:]...)
-		rotated = append(rotated, order[:rot]...)
-		s.rotScratch = order
-		s.orderScratch = rotated
-		return rotated
-	}
-	return order
+	return 0
 }
 
 // ready reports whether op may issue for thread t this cycle: every source
@@ -857,12 +844,10 @@ func (s *Sim) ready(t *Thread, op *isa.Op) bool {
 		// the current word; it must therefore be the last operation of
 		// the word to issue. (Under lock-step issue the whole word issues
 		// atomically, so nothing can be abandoned.)
-		if w := t.word(); w != nil && !s.cfg.LockStepIssue {
-			for slot, other := range w.Ops {
-				if other == nil || other.Code == isa.OpHalt {
-					continue
-				}
-				if slot >= len(t.issued) || !t.issued[slot] {
+		if !s.cfg.LockStepIssue {
+			w := t.word()
+			for m := t.pend; m != 0; m &= m - 1 {
+				if w.Ops[bits.TrailingZeros64(m)].Code != isa.OpHalt {
 					return false
 				}
 			}
@@ -907,7 +892,7 @@ func (s *Sim) opCacheOK(slot int, t *Thread) bool {
 // independently selects one ready operation among all active threads'
 // current words, favoring threads in arbitration order.
 func (s *Sim) issueCoupled() {
-	order := s.threadOrder()
+	n, rot := len(s.threads), s.rotation()
 	for slot := range s.units {
 		// Degradation windows: a down unit issues nothing this cycle.
 		// Every slot is probed every cycle, so the injector's per-cycle
@@ -915,19 +900,16 @@ func (s *Sim) issueCoupled() {
 		if s.inj != nil && s.inj.UnitDown(slot, s.cycle) {
 			continue
 		}
-		for _, ti := range order {
+		bit := uint64(1) << slot
+		for i, ti := 0, rot; i < n; i, ti = i+1, ti+1 {
+			if ti == n {
+				ti = 0
+			}
 			t := s.threads[ti]
-			if t.stalled {
+			if t.stalled || t.pend&bit == 0 {
 				continue
 			}
-			w := t.word()
-			if w == nil || slot >= len(w.Ops) {
-				continue
-			}
-			op := w.Ops[slot]
-			if op == nil || (slot < len(t.issued) && t.issued[slot]) {
-				continue
-			}
+			op := t.Seg.Instrs[t.IP].Ops[slot]
 			if !s.ready(t, op) || !s.opCacheOK(slot, t) {
 				continue
 			}
@@ -940,26 +922,25 @@ func (s *Sim) issueCoupled() {
 // issueLockStep is the VLIW-style ablation: a thread's entire instruction
 // word must issue atomically in a single cycle.
 func (s *Sim) issueLockStep() {
-	order := s.threadOrder()
 	unitBusy := s.busyScratch
 	for slot := range unitBusy {
 		unitBusy[slot] = s.inj != nil && s.inj.UnitDown(slot, s.cycle)
 	}
-	for _, ti := range order {
+	n, rot := len(s.threads), s.rotation()
+	for i, ti := 0, rot; i < n; i, ti = i+1, ti+1 {
+		if ti == n {
+			ti = 0
+		}
 		t := s.threads[ti]
-		if t.stalled {
+		if t.stalled || t.pend == 0 {
 			continue
 		}
-		w := t.word()
-		if w == nil {
-			continue
-		}
+		// The word issues whole, so pend holds all of its operations.
+		ops := t.Seg.Instrs[t.IP].Ops
 		ok := true
-		for slot, op := range w.Ops {
-			if op == nil {
-				continue
-			}
-			if unitBusy[slot] || !s.ready(t, op) || !s.opCacheOK(slot, t) {
+		for m := t.pend; m != 0; m &= m - 1 {
+			slot := bits.TrailingZeros64(m)
+			if unitBusy[slot] || !s.ready(t, ops[slot]) || !s.opCacheOK(slot, t) {
 				ok = false
 				break
 			}
@@ -967,12 +948,10 @@ func (s *Sim) issueLockStep() {
 		if !ok {
 			continue
 		}
-		for slot, op := range w.Ops {
-			if op == nil {
-				continue
-			}
+		for m := t.pend; m != 0; m &= m - 1 {
+			slot := bits.TrailingZeros64(m)
 			unitBusy[slot] = true
-			s.issueOp(t, slot, op)
+			s.issueOp(t, slot, ops[slot])
 		}
 	}
 }
@@ -1008,6 +987,7 @@ func (s *Sim) issueOp(t *Thread, slot int, op *isa.Op) {
 		t.issued = append(t.issued, false)
 	}
 	t.issued[slot] = true
+	t.pend &^= 1 << slot
 	vals := s.commitIssue(t, slot, -1, op)
 	for _, d := range op.Dests {
 		t.Regs.ClearValid(d)
@@ -1080,7 +1060,7 @@ func (s *Sim) finalize() {
 		s.stats.Dyn = &d
 	}
 	s.stats.PeakRegsPerCluster = make([]int, len(s.cfg.Clusters))
-	for _, t := range s.threads {
+	for _, t := range s.byID {
 		peaks := t.Regs.PeakPerCluster()
 		for c, p := range peaks {
 			if p > s.stats.PeakRegsPerCluster[c] {
@@ -1098,7 +1078,7 @@ func (s *Sim) finalize() {
 			PerUnit:  s.attrib.perUnit,
 			WaitRegs: s.attrib.waitRegs,
 		}
-		for _, t := range s.threads {
+		for _, t := range s.byID {
 			if t.stalls == nil {
 				continue
 			}

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 
 	"pcoup/internal/isa"
 	"pcoup/internal/memsys"
@@ -216,22 +217,22 @@ func (s *Sim) classify(t *Thread) (cause StallCause, slot int, reg isa.RegRef, h
 	if w == nil {
 		return CausePresence, -1, isa.RegRef{}, false
 	}
-	cause, slot, reg, hasReg, _ = s.classifyWord(t, w, t.issued)
+	cause, slot, reg, hasReg, _ = s.classifyWord(t, w, t.pend)
 	return cause, slot, reg, hasReg
 }
 
-// classifyWord scans one instruction word's unissued operations in
-// ready() order and attributes the first blocking condition. blocked is
-// false when every unissued operation was ready and resident — the word
-// lost unit arbitration (the returned cause is then CauseFUBusy with
-// the first unissued slot); the dynamic-window classifier uses that
-// distinction to charge hazard-blocked-but-ready words to the window.
-func (s *Sim) classifyWord(t *Thread, w *isa.Instruction, issued []bool) (cause StallCause, slot int, reg isa.RegRef, hasReg bool, blocked bool) {
+// classifyWord scans one instruction word's unissued operations (the
+// set bits of pend) in ready() order and attributes the first blocking
+// condition. blocked is false when every unissued operation was ready
+// and resident — the word lost unit arbitration (the returned cause is
+// then CauseFUBusy with the first unissued slot); the dynamic-window
+// classifier uses that distinction to charge hazard-blocked-but-ready
+// words to the window.
+func (s *Sim) classifyWord(t *Thread, w *isa.Instruction, pend uint64) (cause StallCause, slot int, reg isa.RegRef, hasReg bool, blocked bool) {
 	firstUnissued := -1
-	for si, op := range w.Ops {
-		if op == nil || (si < len(issued) && issued[si]) {
-			continue
-		}
+	for m := pend; m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		op := w.Ops[si]
 		if firstUnissued < 0 {
 			firstUnissued = si
 		}

@@ -19,7 +19,15 @@ type Thread struct {
 	// IP indexes the current (partially issued) instruction word.
 	IP int
 	// issued[slot] marks operations of the current word already issued.
+	// It is the checkpoint wire form and, under dynamic issue, aliases the
+	// window head's bitmap; the kernel itself reads pend.
 	issued []bool
+	// pend has bit slot set while the current word's operation in that
+	// slot exists and has not issued: set from the word in resetWord (or
+	// rebuilt by syncHead and Restore), cleared at issue. The word is done
+	// when pend is zero. machine.MaxTotalUnits is 64, so one word holds
+	// every slot.
+	pend uint64
 	// branchTaken/branchTarget record the outcome of a branch operation
 	// issued from the current word; applied when the word completes.
 	branchTaken  bool
@@ -50,8 +58,8 @@ type Thread struct {
 	syncLoadsOut int
 	// dyn is the thread's dynamic-scheduling state (issue window and
 	// squash bookkeeping); nil unless cfg.Dynamic.Window > 0. When set,
-	// IP and issued alias the window's head entry, so the legacy
-	// word-oriented helpers keep seeing the architectural frontier.
+	// IP and issued alias the window's head entry (and pend follows it),
+	// so the word-oriented helpers keep seeing the architectural frontier.
 	dyn *dynThread
 	// stalled caches "no unissued operation of the current word is
 	// ready": issue arbitration skips the thread until an event that can
@@ -72,21 +80,19 @@ func (t *Thread) word() *isa.Instruction {
 	return &t.Seg.Instrs[t.IP]
 }
 
-// wordDone reports whether every operation of the current word has issued.
-func (t *Thread) wordDone() bool {
-	w := t.word()
+// pendMask returns the slots of w holding an operation not marked in
+// issued (a slot beyond issued counts as unissued); nil w has none.
+func pendMask(w *isa.Instruction, issued []bool) uint64 {
 	if w == nil {
-		return true
+		return 0
 	}
+	var m uint64
 	for slot, op := range w.Ops {
-		if op == nil {
-			continue
-		}
-		if slot >= len(t.issued) || !t.issued[slot] {
-			return false
+		if op != nil && (slot >= len(issued) || !issued[slot]) {
+			m |= 1 << slot
 		}
 	}
-	return true
+	return m
 }
 
 // resetWord prepares issue bookkeeping for a new current word.
@@ -104,6 +110,7 @@ func (t *Thread) resetWord() {
 			t.issued[i] = false
 		}
 	}
+	t.pend = pendMask(w, nil)
 	t.branchTaken = false
 	t.branchTarget = -1
 	t.stalled = false
